@@ -3,7 +3,14 @@
 Every differentiable operation validates its inputs, checks the result for
 NaN/Inf (a numeric error, never a silent value), and, when a tape is active
 and an input requires gradients, records a backward closure. Replaying the
-tape in reverse populates ``grad`` on every participating tensor.
+tape in reverse populates ``grad`` on every leaf that requires gradients.
+
+Replay consumes the tape: each entry is popped before its closure runs and
+the output's ``grad`` is taken off it, so a closure, the arrays it captured
+and the intermediate gradient it received are freed as soon as the backward
+pass moves past them. Afterwards the tape is empty and only leaves (the
+parameters and any input tensor created with ``requires_grad``) keep a
+``grad``; intermediates do not.
 """
 
 from __future__ import annotations
@@ -118,7 +125,9 @@ class Tape:
 
     Used as a context manager around a forward pass; ``backward`` replays the
     record once, in reverse, accumulating into each input exactly once per
-    recorded use.
+    recorded use. The replay pops every entry and clears each intermediate's
+    ``grad`` as it goes, so the tape is empty afterwards and keeps nothing
+    alive; leaves keep their accumulated ``grad``.
     """
 
     def __init__(self):
@@ -149,10 +158,13 @@ class Tape:
             raise ContractError("loss was not recorded on this tape")
         self._consumed = True
         loss.grad = np.ones((), dtype=np.float64)
-        for out, backward_fn in reversed(self._entries):
-            if out.grad is None:
-                continue  # not an ancestor of the loss
-            backward_fn(out.grad)
+        entries = self._entries
+        while entries:
+            out, backward_fn = entries.pop()
+            grad, out.grad = out.grad, None
+            if grad is not None:  # None: not an ancestor of the loss
+                backward_fn(grad)
+            del out, backward_fn, grad
 
 
 _TAPE_STACK: list[Tape] = []

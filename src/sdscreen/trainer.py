@@ -199,8 +199,11 @@ def evaluate_metrics(probs: np.ndarray, labels: np.ndarray,
 def train(dataset: Dataset, params: ModelParams, train_subjects: list[Subject],
           val_subjects: list[Subject], cfg: TrainConfig,
           state: AdamState | None = None, epochs_done: int = 0,
-          checkpoint_path: Path | str | None = None) -> tuple[AdamState, list[HistoryRow]]:
-    """Run epochs epochs_done+1 .. cfg.epochs; returns optimizer state and history.
+          checkpoint_path: Path | str | None = None
+          ) -> tuple[AdamState, list[HistoryRow], np.ndarray | None]:
+    """Run epochs epochs_done+1 .. cfg.epochs; returns optimizer state, history
+    and the last epoch's validation probabilities (None when no epoch ran or
+    there are no validation subjects).
 
     Passing a state/epochs_done pair restored from a checkpoint continues the
     run and reproduces exactly the history an uninterrupted run would have
@@ -221,6 +224,7 @@ def train(dataset: Dataset, params: ModelParams, train_subjects: list[Subject],
     val_labels = np.array([s.label for s in val_subjects])
 
     history: list[HistoryRow] = []
+    val_probs = None
     for epoch in range(epochs_done + 1, cfg.epochs + 1):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, epoch)))
         order = rng.permutation(len(train_subjects))
@@ -253,7 +257,7 @@ def train(dataset: Dataset, params: ModelParams, train_subjects: list[Subject],
                                   train_acc=train_acc, val_acc=val_acc))
         if checkpoint_path is not None:
             save_checkpoint(checkpoint_path, params, state.m, state.v, state.t, epoch)
-    return state, history
+    return state, history, val_probs
 
 
 def fold_subject_sets(dataset: Dataset, k: int, seed: int,
@@ -296,17 +300,18 @@ def run_fold(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
 
     train_subjects, val_subjects = fold_subject_sets(
         dataset, train_cfg.folds, train_cfg.seed, fold_index)
-    state, rows = train(dataset, params, train_subjects, val_subjects, train_cfg,
-                        state=state, epochs_done=epochs_done,
-                        checkpoint_path=ckpt_path)
+    state, rows, probs = train(dataset, params, train_subjects, val_subjects, train_cfg,
+                               state=state, epochs_done=epochs_done,
+                               checkpoint_path=ckpt_path)
     all_rows = prior_rows + rows
     history_path.write_text(history_to_csv(all_rows), encoding="utf-8")
     if train_cfg.epochs == 0 and not ckpt_path.is_file():
         save_checkpoint(ckpt_path, params, state.m, state.v, state.t, 0)
 
-    needs_video = model_cfg.mode != "mlp"
-    val_videos = load_videos(dataset, val_subjects, needs_video)
-    probs = evaluate_probs(params, val_subjects, val_videos)
+    if probs is None:
+        # No epoch ran, so nothing has evaluated the initial or restored weights.
+        val_videos = load_videos(dataset, val_subjects, model_cfg.mode != "mlp")
+        probs = evaluate_probs(params, val_subjects, val_videos)
     labels = np.array([s.label for s in val_subjects])
     metrics = evaluate_metrics(probs, labels, train_cfg.threshold)
     return all_rows, metrics

@@ -1,11 +1,14 @@
 """Whole-subject model: mode semantics, parameter registry, checkpoints."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from sdscreen.errors import ConfigError, FormatError
+from sdscreen.fusion import bce_loss
 from sdscreen.model import (
     ModelConfig,
     init_model,
@@ -15,6 +18,7 @@ from sdscreen.model import (
     save_checkpoint,
     subject_forward,
 )
+from sdscreen.numerics import Tape
 from sdscreen.synth import SynthConfig, generate
 
 CFG = ModelConfig(input_hw=12, clip_len=4, base_channels=2, feature_dim=4,
@@ -158,3 +162,34 @@ def test_checkpoint_roundtrip_and_errors(data, tmp_path):
     wider = init_model(dataclasses.replace(CFG, feature_dim=8))
     with pytest.raises(FormatError):
         load_checkpoint(path, wider)
+
+
+def test_backward_frees_tape_and_intermediates(tmp_path):
+    # Answers of 3-5 clips, so every RAS block attends and every parameter
+    # is on the tape. With the cyclic collector off, memory comes back only
+    # through reference counts: what a replayed tape still held would
+    # outlive this step.
+    data = generate(SynthConfig(n_subjects=2, fps=1, height=12, width=12,
+                                disagreement_rate=0.0, time_median_s=8.0,
+                                time_min_s=8.0, time_max_s=12.0, clip_len=4, seed=3),
+                    tmp_path)
+    params = init_model(CFG)
+    subject = data.subjects[0]
+    video = load_subject_video(data, subject)
+    gc.disable()
+    try:
+        with Tape() as tape:
+            prob = subject_forward(params, subject, video).p
+            loss = bce_loss(prob, subject.label)
+        first_output = weakref.ref(tape._entries[0][0].data)
+        tape_ref = weakref.ref(tape)
+        tape.backward(loss)
+        assert len(tape) == 0
+        assert prob.grad is None and loss.grad is None
+        for name, p in named_parameters(params):
+            assert p.grad is not None, name
+        del prob, loss, tape
+        assert tape_ref() is None
+        assert first_output() is None
+    finally:
+        gc.enable()

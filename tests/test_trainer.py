@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from sdscreen import trainer
 from sdscreen.errors import ConfigError, NumericError
-from sdscreen.model import ModelConfig, init_model, load_checkpoint
+from sdscreen.model import ModelConfig, init_model, load_checkpoint, subject_forward
 from sdscreen.numerics import Tensor
 from sdscreen.synth import SynthConfig, generate
 from sdscreen.trainer import (
@@ -166,8 +167,8 @@ def run_training(dataset, epochs, seed=1, resume_state=None, epochs_done=0,
     cfg = TrainConfig(epochs=epochs, batch_size=2, lr=1e-2, seed=seed, folds=4)
     train_subjects = dataset.subjects[:6]
     val_subjects = dataset.subjects[6:]
-    state, rows = train(dataset, params, train_subjects, val_subjects, cfg,
-                        state=resume_state, epochs_done=epochs_done)
+    state, rows, _ = train(dataset, params, train_subjects, val_subjects, cfg,
+                           state=resume_state, epochs_done=epochs_done)
     return params, state, rows
 
 
@@ -220,6 +221,39 @@ def test_run_fold_writes_artifacts_and_resumes(tiny_dataset, tmp_path):
     assert (resumed_dir / "fold0.ckpt").read_bytes() == \
         (straight_dir / "fold0.ckpt").read_bytes()
     np.testing.assert_equal(metrics_resumed, metrics_straight)
+
+
+def checkpoint_metrics(dataset, out_dir, cfg):
+    """Fold metrics recomputed from the weights in the saved checkpoint."""
+    params = init_model(TINY_MODEL)
+    load_checkpoint(out_dir / "fold0.ckpt", params)
+    _, val = fold_subject_sets(dataset, cfg.folds, cfg.seed, 0)
+    probs = evaluate_probs(params, val, load_videos(dataset, val, needs_video=True))
+    return evaluate_metrics(probs, np.array([s.label for s in val]), cfg.threshold)
+
+
+@pytest.mark.parametrize("case", ["trained", "no_epochs", "resumed_finished"])
+def test_run_fold_metrics_match_checkpoint(tiny_dataset, tmp_path, monkeypatch, case):
+    epochs = 0 if case == "no_epochs" else 2
+    cfg = TrainConfig(epochs=epochs, batch_size=2, lr=1e-2, seed=5, folds=4)
+    if case == "resumed_finished":
+        run_fold(tiny_dataset, TINY_MODEL, cfg, 0, tmp_path)
+    forwards = []
+
+    def counted_forward(*args, **kwargs):
+        forwards.append(args[1].subject_id)
+        return subject_forward(*args, **kwargs)
+
+    # run_fold reaches subject_forward through the trainer module at call time.
+    monkeypatch.setattr(trainer, "subject_forward", counted_forward)
+    _, metrics = run_fold(tiny_dataset, TINY_MODEL, cfg, 0, tmp_path,
+                          resume=case == "resumed_finished")
+    monkeypatch.undo()
+
+    np.testing.assert_equal(metrics, checkpoint_metrics(tiny_dataset, tmp_path, cfg))
+    # Each epoch forwards 6 training and 2 validation subjects; the fold's
+    # metrics reuse the last epoch's validation unless no epoch ran.
+    assert len(forwards) == (2 if case != "trained" else 2 * (6 + 2))
 
 
 def test_checkpoint_roundtrip_preserves_predictions(tiny_dataset, tmp_path):
