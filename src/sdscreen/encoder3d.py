@@ -6,6 +6,12 @@ doubling each stage; every pool halves H and W, and the last one also halves
 T. A final valid conv collapses whatever remains to 1x1x1, and a linear layer
 (no activation) produces the feature.
 
+Each stage runs in the order conv + maxpool + ReLU, which gives the same
+values and gradients as conv + ReLU + maxpool while the ReLU touches only
+the pooled elements. ReLU is monotone, so when a window's max is positive
+both orders output that max and route the gradient to its first occurrence;
+when the max is <= 0 both output 0 and pass a zero gradient to the conv.
+
 At input 110x110x10 with base 16 channels and feature dim 128, the plan is
 the reference configuration:
     108x108x10x16 -> 54x54x10x16 -> 52x52x10x32 -> 26x26x10x32 ->
@@ -160,9 +166,9 @@ def encode_clip(values: Tensor, params: EncoderParams,
     x = values
     n_stages = len(plan.stage_channels)
     for i, (kern, bias) in enumerate(zip(params.stage_kernels, params.stage_biases)):
-        x = note(relu(conv3d(x, kern, bias, spatial_pad=0, temporal_pad=1)))
+        x = note(conv3d(x, kern, bias, spatial_pad=0, temporal_pad=1))
         pool_t = 2 if i == n_stages - 1 else 1
-        x = note(maxpool3d(x, (2, 2, pool_t)))
+        x = note(relu(maxpool3d(x, (2, 2, pool_t))))
     x = note(relu(conv3d(x, params.final_kernel, params.final_bias,
                          spatial_pad=0, temporal_pad=0)))
     x = note(reshape(x, (plan.final_channels,)))

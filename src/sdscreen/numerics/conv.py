@@ -1,8 +1,13 @@
 """3-D convolution and max pooling over (H, W, T, C) volumes.
 
-Forward uses an im2col layout built from ``sliding_window_view``; backward
-rebuilds the same view from the stored padded input instead of keeping the
-patch matrix alive, trading a little recompute for a much smaller tape.
+Forward uses an im2col layout: a read-only strided window view of the
+zero-padded input (the input itself when there is no padding), copied into a
+patch matrix for one GEMM. Forwards compute only their values. Backward
+recomputes what it needs from the stored inputs instead of keeping it on the
+tape: the convolution rebuilds the patch matrix from the padded input, and the
+pooling recomputes each window's first-max position from its input. That
+trades a little recompute in backward for a smaller tape and cheaper untaped
+passes.
 """
 
 from __future__ import annotations
@@ -21,11 +26,25 @@ def _conv_out_extent(extent: int, kernel: int, pad: int) -> int:
 
 def _patches(padded: np.ndarray, kh: int, kw: int, kt: int) -> np.ndarray:
     """Return (OH, OW, OT, kh*kw*kt*Cin) patch matrix from a padded volume."""
-    # windows: (OH, OW, OT, Cin, kh, kw, kt) -> move Cin behind the kernel axes
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw, kt), axis=(0, 1, 2))
-    windows = windows.transpose(0, 1, 2, 4, 5, 6, 3)
-    oh, ow, ot = windows.shape[:3]
-    return windows.reshape(oh, ow, ot, kh * kw * kt * padded.shape[3])
+    ph, pw, pt, cin = padded.shape
+    oh, ow, ot = ph - kh + 1, pw - kw + 1, pt - kt + 1
+    sh, sw, st, sc = padded.strides
+    # windows: (OH, OW, OT, kh, kw, kt, Cin), Cin last to match the kernel layout
+    windows = np.lib.stride_tricks.as_strided(
+        padded, shape=(oh, ow, ot, kh, kw, kt, cin),
+        strides=(sh, sw, st, sh, sw, st, sc), writeable=False)
+    return windows.reshape(oh, ow, ot, kh * kw * kt * cin)
+
+
+def _pad(x: np.ndarray, spatial_pad: int, temporal_pad: int) -> np.ndarray:
+    """Zero-pad H, W by ``spatial_pad`` and T by ``temporal_pad``; no copy without pads."""
+    if spatial_pad == 0 and temporal_pad == 0:
+        return x
+    sp, tp = spatial_pad, temporal_pad
+    h, w, t, c = x.shape
+    padded = np.zeros((h + 2 * sp, w + 2 * sp, t + 2 * tp, c), dtype=np.float64)
+    padded[sp:sp + h, sp:sp + w, tp:tp + t, :] = x
+    return padded
 
 
 def conv3d(x: Tensor, kernels: Tensor, bias: Tensor,
@@ -57,12 +76,11 @@ def conv3d(x: Tensor, kernels: Tensor, bias: Tensor,
             f"does not fit input {x.shape}"
         )
 
-    pad_widths = ((spatial_pad, spatial_pad), (spatial_pad, spatial_pad),
-                  (temporal_pad, temporal_pad), (0, 0))
-    padded = np.pad(x.data, pad_widths)
+    padded = _pad(x.data, spatial_pad, temporal_pad)
     cols = _patches(padded, kh, kw, kt)              # (OH, OW, OT, K)
     kmat = kernels.data.reshape(cout, -1)            # (Cout, K), same patch order
-    data = cols @ kmat.T + bias.data
+    data = cols @ kmat.T
+    data += bias.data
 
     x_req, k_req, b_req = x.requires_grad, kernels.requires_grad, bias.requires_grad
 
@@ -92,8 +110,9 @@ def conv3d(x: Tensor, kernels: Tensor, bias: Tensor,
 def maxpool3d(x: Tensor, window: tuple[int, int, int]) -> Tensor:
     """Non-overlapping max pooling; each extent must divide evenly.
 
-    Ties take the first occurrence in (H, W, T) scan order, so the routed
-    gradient is deterministic.
+    Forward takes each window's max directly. Backward recomputes the first
+    max of each window in (H, W, T) scan order from the input and routes the
+    gradient there, so ties are deterministic.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool3d input must be (H, W, T, C), got {x.shape}")
@@ -105,13 +124,13 @@ def maxpool3d(x: Tensor, window: tuple[int, int, int]) -> Tensor:
         raise ShapeError(f"maxpool3d: window {window} does not divide input {x.shape[:3]}")
     oh, ow, ot = h // ph, w // pw, t // pt
 
-    blocks = x.data.reshape(oh, ph, ow, pw, ot, pt, c)
-    blocks = blocks.transpose(0, 2, 4, 6, 1, 3, 5).reshape(oh, ow, ot, c, ph * pw * pt)
-    flat_idx = blocks.argmax(axis=-1)               # first max wins on ties
-    data = np.take_along_axis(blocks, flat_idx[..., None], axis=-1)[..., 0]
+    data = x.data.reshape(oh, ph, ow, pw, ot, pt, c).max(axis=(1, 3, 5))
 
     def bwd(g: np.ndarray) -> None:
         if x.requires_grad:
+            blocks = x.data.reshape(oh, ph, ow, pw, ot, pt, c)
+            blocks = blocks.transpose(0, 2, 4, 6, 1, 3, 5).reshape(oh, ow, ot, c, ph * pw * pt)
+            flat_idx = blocks.argmax(axis=-1)       # first max wins on ties
             gblocks = np.zeros((oh, ow, ot, c, ph * pw * pt), dtype=np.float64)
             np.put_along_axis(gblocks, flat_idx[..., None], g[..., None], axis=-1)
             gx = gblocks.reshape(oh, ow, ot, c, ph, pw, pt)

@@ -12,6 +12,7 @@ Round-tripping is exact: float64 payloads are written bit for bit.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -65,9 +66,12 @@ def _read_array(r: _Reader) -> np.ndarray:
     if version != SNAPSHOT_VERSION:
         raise FormatError(f"unsupported snapshot version {version}")
     shape = tuple(r.unpack("<Q")[0] for _ in range(rank))
-    count = int(np.prod(shape)) if shape else 1
-    payload = r.take(count * 8)
-    return np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+    payload = r.take(8 * math.prod(shape))  # Python ints: hostile extents cannot overflow
+    try:
+        arr = np.frombuffer(payload, dtype="<f8").reshape(shape)
+    except ValueError:  # too many axes, or a zero-size shape numpy cannot represent
+        raise FormatError(f"unsupported snapshot shape {shape}") from None
+    return arr.astype(np.float64)
 
 
 def load_array(blob: bytes) -> np.ndarray:
@@ -100,7 +104,10 @@ def load_container(blob: bytes) -> dict[str, np.ndarray]:
     entries: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("container entry name is not valid UTF-8") from None
         if name in entries:
             raise FormatError(f"duplicate container entry {name!r}")
         entries[name] = _read_array(r)

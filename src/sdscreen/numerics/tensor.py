@@ -102,19 +102,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Arithmetic sugar; the free functions remain the primary API.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
     return Tensor(data, requires_grad=requires_grad)
@@ -322,11 +309,10 @@ def log(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0.0)
-    mask = a.data > 0.0
 
     def bwd(g: np.ndarray) -> None:
         if a.requires_grad:
-            a.accumulate_grad(g * mask)
+            a.accumulate_grad(g * (a.data > 0.0))
 
     return _finish("relu", data, (a,), bwd)
 

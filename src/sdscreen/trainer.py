@@ -218,6 +218,9 @@ def train(dataset: Dataset, params: ModelParams, train_subjects: list[Subject],
     else:
         state.lr = cfg.lr
 
+    if epochs_done >= cfg.epochs:
+        return state, [], None
+
     needs_video = params.config.mode != "mlp"
     train_videos = load_videos(dataset, train_subjects, needs_video)
     val_videos = load_videos(dataset, val_subjects, needs_video)

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdscreen.errors import FormatError
 from sdscreen.numerics import dump_array, dump_container, load_array, load_container
@@ -95,3 +97,38 @@ def test_container_truncated():
 
 def test_empty_container_roundtrip():
     assert load_container(dump_container({})) == {}
+
+
+def test_container_non_utf8_name_rejected():
+    blob = bytearray(dump_container({"w": np.zeros(2)}))
+    blob[12] ^= 0xFF  # the name byte: 0x88 is no UTF-8 start byte
+    with pytest.raises(FormatError, match="UTF-8"):
+        load_container(bytes(blob))
+
+
+@pytest.mark.parametrize("shape", [(2**62, 8), (2**64 - 1, 2**64 - 1), (0, 2**63), (1,) * 65])
+def test_array_hostile_extents_rejected(shape):
+    blob = b"RAST" + struct.pack("<HH", 1, len(shape)) + struct.pack(f"<{len(shape)}Q", *shape)
+    with pytest.raises(FormatError):
+        load_array(blob + bytes(64))
+
+
+SAMPLE_CONTAINER = dump_container({
+    "enc.conv0.kernel": np.arange(6.0).reshape(1, 2, 3),
+    "bias": np.array([0.5, -1.0]),
+    "step": np.array(3.0),
+})
+
+
+@given(st.lists(st.tuples(st.integers(0, len(SAMPLE_CONTAINER) - 1), st.integers(0, 255)),
+                min_size=1, max_size=4),
+       st.integers(0, len(SAMPLE_CONTAINER)))
+@settings(max_examples=300, deadline=None)
+def test_container_byte_mutations_raise_only_format_error(edits, keep):
+    blob = bytearray(SAMPLE_CONTAINER)
+    for pos, value in edits:
+        blob[pos] = value
+    try:
+        load_container(bytes(blob[:keep]))
+    except FormatError:
+        pass

@@ -5,7 +5,13 @@ import pytest
 
 from sdscreen import trainer
 from sdscreen.errors import ConfigError, NumericError
-from sdscreen.model import ModelConfig, init_model, load_checkpoint, subject_forward
+from sdscreen.model import (
+    ModelConfig,
+    init_model,
+    load_checkpoint,
+    load_subject_video,
+    subject_forward,
+)
 from sdscreen.numerics import Tensor
 from sdscreen.synth import SynthConfig, generate
 from sdscreen.trainer import (
@@ -254,6 +260,31 @@ def test_run_fold_metrics_match_checkpoint(tiny_dataset, tmp_path, monkeypatch, 
     # Each epoch forwards 6 training and 2 validation subjects; the fold's
     # metrics reuse the last epoch's validation unless no epoch ran.
     assert len(forwards) == (2 if case != "trained" else 2 * (6 + 2))
+
+
+@pytest.mark.parametrize("case", ["trained", "no_epochs", "resumed_finished"])
+def test_run_fold_loads_each_video_once(tiny_dataset, tmp_path, monkeypatch, case):
+    epochs = 0 if case == "no_epochs" else 2
+    cfg = TrainConfig(epochs=epochs, batch_size=2, lr=1e-2, seed=5, folds=4)
+    if case == "resumed_finished":
+        run_fold(tiny_dataset, TINY_MODEL, cfg, 0, tmp_path)
+    loads = []
+
+    def counted_load(dataset, subject):
+        loads.append(subject.subject_id)
+        return load_subject_video(dataset, subject)
+
+    monkeypatch.setattr(trainer, "load_subject_video", counted_load)
+    _, metrics = run_fold(tiny_dataset, TINY_MODEL, cfg, 0, tmp_path,
+                          resume=case == "resumed_finished")
+    monkeypatch.undo()
+
+    np.testing.assert_equal(metrics, checkpoint_metrics(tiny_dataset, tmp_path, cfg))
+    train_s, val_s = fold_subject_sets(tiny_dataset, cfg.folds, cfg.seed, 0)
+    # Training loads all 8 videos once; with no epoch to run only the 2
+    # validation videos are loaded, once each, for the fold's metrics.
+    wanted = train_s + val_s if case == "trained" else val_s
+    assert sorted(loads) == sorted(s.subject_id for s in wanted)
 
 
 def test_checkpoint_roundtrip_preserves_predictions(tiny_dataset, tmp_path):
