@@ -33,6 +33,7 @@ from .plots import line_plot_svg
 from .ras import RasConfig, encode_question, init_ras
 from .synth import SynthConfig, disagreement_cells, generate
 from .trainer import (
+    HistoryRow,
     TrainConfig,
     evaluate_metrics,
     evaluate_probs,
@@ -123,7 +124,11 @@ def resolve_config(config_file: str | None = None,
         path = Path(config_file)
         if not path.is_file():
             raise ConfigError(f"config file missing: {path}")
-        for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: not UTF-8 text at byte {e.start}") from None
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -237,26 +242,20 @@ def _folds_arg(value: str, k: int) -> list[int]:
 
 def _train_fold_job(data_dir: str, out_dir: str, cfg: dict[str, object],
                     mode: str | None, ablations: list[str], fold: int,
-                    resume: bool) -> tuple[int, dict[str, float]]:
+                    resume: bool) -> tuple[int, list[HistoryRow], dict[str, float]]:
     dataset = load_dataset(data_dir)
     model_cfg = model_config_from(cfg, mode, ablations)
     train_cfg = train_config_from(cfg)
-    _, metrics = run_fold(dataset, model_cfg, train_cfg, fold, out_dir, resume=resume)
-    return fold, metrics
+    rows, metrics = run_fold(dataset, model_cfg, train_cfg, fold, out_dir, resume=resume)
+    return fold, rows, metrics
 
 
-def _write_curves(out_dir: Path, folds: list[int]) -> None:
+def _write_curves(out_dir: Path, histories: dict[int, list[HistoryRow]]) -> None:
     series = []
-    for fold in folds:
-        path = out_dir / f"fold{fold}_history.csv"
-        if not path.is_file():
-            continue
-        epochs, train_acc, val_acc = [], [], []
-        for line in path.read_text(encoding="utf-8").strip().splitlines()[1:]:
-            e, _, tr, va = line.split(",")
-            epochs.append(float(e))
-            train_acc.append(float(tr))
-            val_acc.append(float(va))
+    for fold, rows in histories.items():
+        epochs = [float(r.epoch) for r in rows]
+        train_acc = [r.train_acc for r in rows]
+        val_acc = [r.val_acc for r in rows]
         if epochs:
             series.append((f"fold {fold} train", epochs, train_acc))
             if not any(np.isnan(val_acc)):
@@ -288,6 +287,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    histories: dict[int, list[HistoryRow]] = {}
     per_fold: dict[int, dict[str, float]] = {}
     if args.jobs > 1 and len(folds) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -295,14 +295,12 @@ def cmd_train(args: argparse.Namespace) -> int:
                                 args.mode, args.ablate, fold, args.resume)
                     for fold in folds]
             for job in jobs:
-                fold, metrics = job.result()
-                per_fold[fold] = metrics
+                fold, histories[fold], per_fold[fold] = job.result()
     else:
         for fold in folds:
-            fold, metrics = _train_fold_job(args.data, str(out_dir), cfg,
-                                            args.mode, args.ablate, fold, args.resume)
-            per_fold[fold] = metrics
-    _write_curves(out_dir, folds)
+            fold, histories[fold], per_fold[fold] = _train_fold_job(
+                args.data, str(out_dir), cfg, args.mode, args.ablate, fold, args.resume)
+    _write_curves(out_dir, histories)
     _print_aggregate(per_fold)
     return 0
 

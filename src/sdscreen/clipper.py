@@ -1,39 +1,21 @@
-"""Frame preprocessing and fixed-length clip segmentation.
+"""Fixed-length clip segmentation of one question's frames.
+
+Frames files hold face-cropped grayscale frames already at the model's input
+size; cropping, resizing and grayscale conversion happen before sdscreen.
 
 A question video of N frames becomes M = floor((N - clip_len)/stride) + 1
 half-overlapping clips (stride = clip_len/2); trailing frames that do not
-fill a window are dropped. Preprocessing mirrors the capture pipeline: face
-box doubled about its center, cropped, bilinearly resized, converted to
-grayscale.
+fill a window are dropped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ContractError, DataError
 
-__all__ = [
-    "Clip",
-    "clip_count",
-    "segment",
-    "extend_box",
-    "bilinear_resize",
-    "to_gray",
-    "preprocess",
-]
-
-GRAY_WEIGHTS = (0.299, 0.587, 0.114)
-
-
-@dataclass(frozen=True)
-class Clip:
-    """One fixed-length window: values (H, W, T) in [0,1], 1-based position."""
-
-    values: np.ndarray
-    position: int
+__all__ = ["clip_count", "segment"]
 
 
 def _check_clip_len(clip_len: int) -> int:
@@ -50,17 +32,16 @@ def clip_count(n_frames: int, clip_len: int = 10) -> int:
     return (n_frames - clip_len) // stride + 1
 
 
-def segment(frames: np.ndarray, clip_len: int = 10, overlap: float = 0.5) -> list[Clip]:
-    """Cut (N, H, W) frames into clips of (H, W, clip_len) float64 in [0,1].
+def segment(frames: np.ndarray, clip_len: int = 10) -> np.ndarray:
+    """Cut (N, H, W) frames into a read-only (M, H, W, clip_len) float64 view
+    in [0,1]; clip k starts at frame k * clip_len/2.
 
     uint8 input is scaled by 1/255; float input must already lie in [0,1].
     """
-    if overlap != 0.5:
-        raise ConfigError(f"overlap ratio is fixed at 0.5, got {overlap}")
     stride = _check_clip_len(clip_len)
     if frames.ndim != 3:
         raise ContractError(f"segment expects (N, H, W) frames, got shape {frames.shape}")
-    m = clip_count(frames.shape[0], clip_len)
+    clip_count(frames.shape[0], clip_len)  # DataError when shorter than one clip
 
     if frames.dtype == np.uint8:
         scaled = frames.astype(np.float64) / 255.0
@@ -68,83 +49,4 @@ def segment(frames: np.ndarray, clip_len: int = 10, overlap: float = 0.5) -> lis
         scaled = np.asarray(frames, dtype=np.float64)
         if scaled.size and (scaled.min() < 0.0 or scaled.max() > 1.0):
             raise DataError("float frames must lie in [0, 1]")
-
-    clips = []
-    for k in range(m):
-        start = k * stride
-        window = scaled[start:start + clip_len]         # (T, H, W)
-        clips.append(Clip(values=np.ascontiguousarray(window.transpose(1, 2, 0)),
-                          position=k + 1))
-    return clips
-
-
-def extend_box(box: tuple[int, int, int, int], frame_hw: tuple[int, int],
-               scale: float = 2.0) -> tuple[int, int, int, int]:
-    """Scale an (x, y, w, h) box about its center and clamp to the frame."""
-    x, y, w, h = box
-    fh, fw = frame_hw
-    if w <= 0 or h <= 0:
-        raise ContractError(f"degenerate box {box}: width and height must be positive")
-    cx, cy = x + w / 2.0, y + h / 2.0
-    nw, nh = w * scale, h * scale
-    x0 = int(np.floor(max(cx - nw / 2.0, 0)))
-    y0 = int(np.floor(max(cy - nh / 2.0, 0)))
-    x1 = int(np.ceil(min(cx + nw / 2.0, fw)))
-    y1 = int(np.ceil(min(cy + nh / 2.0, fh)))
-    if x1 <= x0 or y1 <= y0:
-        raise ContractError(f"box {box} falls outside frame of {fh}x{fw}")
-    return (x0, y0, x1 - x0, y1 - y0)
-
-
-def bilinear_resize(image: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
-    """Pixel-center-aligned bilinear resize of (H, W) or (H, W, C) float data."""
-    oh, ow = out_hw
-    if oh < 1 or ow < 1:
-        raise ContractError(f"output extents must be positive, got {out_hw}")
-    src = np.asarray(image, dtype=np.float64)
-    h, w = src.shape[:2]
-
-    def positions(out_n: int, src_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        coords = (np.arange(out_n) + 0.5) * (src_n / out_n) - 0.5
-        coords = np.clip(coords, 0.0, src_n - 1.0)
-        lo = np.floor(coords).astype(np.int64)
-        lo = np.minimum(lo, src_n - 2) if src_n > 1 else np.zeros(out_n, dtype=np.int64)
-        frac = coords - lo
-        return lo, lo + 1 if src_n > 1 else lo, frac
-
-    y0, y1, fy = positions(oh, h)
-    x0, x1, fx = positions(ow, w)
-    fy = fy[:, None] if src.ndim == 2 else fy[:, None, None]
-    fx = fx[None, :] if src.ndim == 2 else fx[None, :, None]
-
-    v00 = src[np.ix_(y0, x0)]
-    v01 = src[np.ix_(y0, x1)]
-    v10 = src[np.ix_(y1, x0)]
-    v11 = src[np.ix_(y1, x1)]
-    top = (1.0 - fx) * v00 + fx * v01
-    bottom = (1.0 - fx) * v10 + fx * v11
-    return (1.0 - fy) * top + fy * bottom
-
-
-def to_gray(frame: np.ndarray) -> np.ndarray:
-    """Collapse an RGB frame to single-channel luma; pass grayscale through."""
-    arr = np.asarray(frame, dtype=np.float64)
-    if arr.ndim == 2:
-        return arr
-    if arr.ndim == 3 and arr.shape[2] == 3:
-        r, g, b = GRAY_WEIGHTS
-        return r * arr[:, :, 0] + g * arr[:, :, 1] + b * arr[:, :, 2]
-    raise ContractError(f"frame must be (H, W) or (H, W, 3), got shape {arr.shape}")
-
-
-def preprocess(frame: np.ndarray, box: tuple[int, int, int, int],
-               out_size: int = 110) -> np.ndarray:
-    """Extend the face box, crop, resize to out_size^2, grayscale; uint8 out."""
-    arr = np.asarray(frame, dtype=np.float64)
-    if arr.ndim not in (2, 3):
-        raise ContractError(f"frame must be (H, W) or (H, W, 3), got shape {arr.shape}")
-    x, y, w, h = extend_box(box, arr.shape[:2])
-    crop = arr[y:y + h, x:x + w]
-    resized = bilinear_resize(crop, (out_size, out_size))
-    gray = to_gray(resized)
-    return np.clip(np.rint(gray), 0, 255).astype(np.uint8)
+    return sliding_window_view(scaled, clip_len, axis=0)[::stride]

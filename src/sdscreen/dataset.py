@@ -3,7 +3,8 @@
 A dataset is a directory holding one ``manifest.txt`` plus one frames file per
 (subject, question). The manifest is a deterministic ``key = value`` text
 file; floats are written with ``repr`` so save -> load -> save is
-byte-identical. Frames files are raw 8-bit grayscale:
+byte-identical. Frames files hold face-cropped frames at the model's input
+size as raw 8-bit grayscale:
 
     magic "RASF" | u32 frame count | u32 height | u32 width | pixels row-major
 """
@@ -225,7 +226,11 @@ def load_manifest(path: Path | str) -> Dataset:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"manifest missing: {path}")
-    pairs = _parse_pairs(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text at byte {e.start}") from None
+    pairs = _parse_pairs(text)
     if _pop(pairs, "format") != "sds-manifest":
         raise FormatError("not a dataset manifest")
     if _pop(pairs, "version") != "1":

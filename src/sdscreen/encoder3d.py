@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clipper import Clip
 from .errors import ConfigError, ContractError, ShapeError
 from .numerics import Tensor, add, conv3d, glorot_uniform, matmul, maxpool3d, relu, reshape
 
@@ -38,7 +37,6 @@ __all__ = [
     "shape_chain",
     "init_encoder",
     "encode_clip",
-    "clip_to_tensor",
     "encode_question_clips",
 ]
 
@@ -175,16 +173,11 @@ def encode_clip(values: Tensor, params: EncoderParams,
     return note(add(matmul(params.fc_weight, x), params.fc_bias))
 
 
-def clip_to_tensor(clip: Clip) -> Tensor:
-    """Attach the channel axis: (H, W, T) values -> (H, W, T, 1) tensor."""
-    return Tensor(clip.values[..., None])
-
-
-def encode_question_clips(clips: list[Clip], params: EncoderParams
+def encode_question_clips(clips: np.ndarray, params: EncoderParams
                           ) -> tuple[list[Tensor], list[int]]:
-    """Encode every clip of one question; returns (features, positions)."""
-    if not clips:
+    """Encode every clip of one question's (M, H, W, T) array from ``segment``;
+    returns (features, positions 1..M)."""
+    if len(clips) == 0:
         raise ContractError("a question must have at least one clip")
-    features = [encode_clip(clip_to_tensor(c), params) for c in clips]
-    positions = [c.position for c in clips]
-    return features, positions
+    features = [encode_clip(Tensor(clip[..., None]), params) for clip in clips]
+    return features, list(range(1, len(clips) + 1))

@@ -210,6 +210,19 @@ def save_checkpoint(path: Path | str, params: ModelParams,
     Path(path).write_bytes(dump_container(entries))
 
 
+def _pop_count(entries: dict[str, np.ndarray], key: str) -> int:
+    """Take a counter entry: a 0-d, finite, non-negative, integral value."""
+    if key not in entries:
+        raise FormatError(f"checkpoint lacks entry {key!r}")
+    arr = entries.pop(key)
+    if arr.shape != ():
+        raise FormatError(f"checkpoint entry {key!r} has shape {arr.shape}, expected a scalar")
+    value = float(arr)
+    if not (np.isfinite(value) and value >= 0 and value == int(value)):
+        raise FormatError(f"checkpoint entry {key!r} holds {value}, expected a count >= 0")
+    return int(value)
+
+
 def load_checkpoint(path: Path | str, params: ModelParams
                     ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], int, int]:
     """Load weights into ``params`` in place; returns (m, v, t, epochs_done)."""
@@ -233,11 +246,8 @@ def load_checkpoint(path: Path | str, params: ModelParams
                 tensor.data = np.ascontiguousarray(arr)
             else:
                 sink[name] = arr
-    for key in ("adam.t", "meta.epochs_done"):
-        if key not in entries:
-            raise FormatError(f"checkpoint lacks entry {key!r}")
-    adam_t = int(entries.pop("adam.t").reshape(()))
-    epochs_done = int(entries.pop("meta.epochs_done").reshape(()))
+    adam_t = _pop_count(entries, "adam.t")
+    epochs_done = _pop_count(entries, "meta.epochs_done")
     if entries:
         raise FormatError(f"checkpoint has unexpected entries: {sorted(entries)[:4]}")
     return adam_m, adam_v, adam_t, epochs_done

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
-from .tensor import Tensor, _active_tape, _finish
+from .tensor import Tensor, _finish
 
 __all__ = ["conv3d", "maxpool3d"]
 

@@ -24,8 +24,6 @@ from ..errors import ContractError, NumericError, ShapeError
 __all__ = [
     "Tensor",
     "Tape",
-    "tensor",
-    "backward",
     "add",
     "sub",
     "mul",
@@ -39,7 +37,6 @@ __all__ = [
     "relu",
     "sigmoid",
     "clip",
-    "tsum",
     "sum_sorted",
     "mean_over_set",
     "concat",
@@ -103,10 +100,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
 class Tape:
     """Ordered record of executed differentiable ops.
 
@@ -159,13 +152,6 @@ _TAPE_STACK: list[Tape] = []
 
 def _active_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
-
-
-def backward(loss: Tensor) -> None:
-    """Populate grads of every requires_grad tensor the loss depends on."""
-    if loss._tape is None:
-        raise ContractError("loss is not attached to a tape; run the forward pass inside `with Tape()`")
-    loss._tape.backward(loss)
 
 
 def _finish(op: str, data: np.ndarray, inputs: Sequence[Tensor],
@@ -392,16 +378,6 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
             b.accumulate_grad(g * a_data)
 
     return _finish("dot", data, (a, b), bwd)
-
-
-def tsum(a: Tensor) -> Tensor:
-    data = np.array(a.data.sum())
-
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(np.full_like(a.data, float(g)))
-
-    return _finish("tsum", data, (a,), bwd)
 
 
 def sum_sorted(a: Tensor, axis: int) -> Tensor:

@@ -3,9 +3,10 @@
 Each of L stacked blocks updates clip i by a residual: the affinity-weighted,
 normalized sum of differences (f_j - f_i) over the other clips, scaled by a
 learned per-channel vector. Affinities are an embedded-Gaussian product of
-two linear maps of the layer-0 features; an optional Gaussian kernel over
-clip positions decays attention with temporal distance. A final element-wise
-mean pools the M clip features into one question feature.
+two linear maps of the layer-0 features (Wang et al., Non-local Neural
+Networks, CVPR 2018); an optional Gaussian kernel over clip positions decays
+attention with temporal distance. A final element-wise mean pools the M clip
+features into one question feature.
 
 Reductions over the clip axis go through ``sum_sorted``, so two invariants
 hold bitwise, not just approximately: identical input features pass through
@@ -41,14 +42,14 @@ from .numerics import (
 __all__ = [
     "RasConfig",
     "RasParams",
-    "affinity",
-    "temporal_kernel",
     "ras_block",
     "aggregate",
     "encode_question",
     "init_ras",
 ]
 
+# Affinity scores are clipped to +/- this bound to keep exp finite; the bound
+# is far outside the range reached at trained parameter scales.
 AFFINITY_EXPONENT_BOUND = 60.0
 
 
@@ -72,7 +73,6 @@ class RasParams:
     omegas: list[Tensor]     # per-block channel scale, each (dim,)
     psi: Tensor              # (dim, dim)
     phi: Tensor              # (dim, dim)
-    sigma: float
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         named = [(f"ras.omega{l}", w) for l, w in enumerate(self.omegas)]
@@ -87,27 +87,7 @@ def init_ras(dim: int, config: RasConfig, rng: np.random.Generator) -> RasParams
     omegas = [Tensor(np.zeros(dim), requires_grad=True) for _ in range(config.blocks)]
     psi = glorot_uniform((dim, dim), fan_in=dim, fan_out=dim, rng=rng)
     phi = glorot_uniform((dim, dim), fan_in=dim, fan_out=dim, rng=rng)
-    return RasParams(omegas=omegas, psi=psi, phi=phi, sigma=config.sigma)
-
-
-def affinity(fi0: np.ndarray, fj0: np.ndarray, psi: np.ndarray, phi: np.ndarray) -> float:
-    """Embedded-Gaussian affinity of one clip pair from layer-0 features.
-
-    The exponent is bounded to keep exp finite; the bound is far outside the
-    range reached at trained parameter scales.
-    """
-    raw = float(np.dot(psi @ np.asarray(fi0, dtype=np.float64),
-                       phi @ np.asarray(fj0, dtype=np.float64)))
-    return float(np.exp(np.clip(raw, -AFFINITY_EXPONENT_BOUND, AFFINITY_EXPONENT_BOUND)))
-
-
-def temporal_kernel(mi: int, mj: int, sigma: float) -> float:
-    """Gaussian similarity of two clip positions: 1 at mi=mj, decaying with distance."""
-    if sigma <= 0:
-        raise ConfigError(f"sigma must be positive, got {sigma}")
-    if mi < 1 or mj < 1:
-        raise ContractError(f"positions are 1-based, got ({mi}, {mj})")
-    return float(np.exp(-((mi - mj) ** 2) / sigma))
+    return RasParams(omegas=omegas, psi=psi, phi=phi)
 
 
 def _pair_weights(positions: list[int], config: RasConfig) -> np.ndarray:

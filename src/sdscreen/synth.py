@@ -24,7 +24,6 @@ from .dataset import (
     SDS_SUM_THRESHOLD,
     Dataset,
     Subject,
-    load_question_frames,
     save_frames,
     save_manifest,
     sds_sum_classify,
@@ -35,9 +34,6 @@ __all__ = [
     "SynthConfig",
     "generate",
     "disagreement_cells",
-    "clip_motion_energies",
-    "subject_motion_feature",
-    "planted_signal_probe",
 ]
 
 # Raw-sum ranges per (label, threshold side). Both classes share a range on
@@ -228,66 +224,3 @@ def disagreement_cells(dataset: Dataset) -> tuple[int, int, int, int]:
         else:
             cells[2 if positive else 3] += 1
     return tuple(cells)
-
-
-# ---------------------------------------------------------------------------
-# planted-signal sanity probe
-
-
-def clip_motion_energies(frames: np.ndarray, clip_len: int = 10) -> np.ndarray:
-    """Mean absolute successive-frame difference per sliding clip window.
-
-    Input is (N, H, W) uint8; output is one energy per stride clip_len/2
-    window, in [0, 1] units.
-    """
-    stride = clip_len // 2
-    n = frames.shape[0]
-    if n < clip_len:
-        return np.zeros(0)
-    diffs = np.abs(np.diff(frames.astype(np.float64) / 255.0, axis=0)).mean(axis=(1, 2))
-    n_clips = (n - clip_len) // stride + 1
-    return np.array([diffs[k * stride:k * stride + clip_len - 1].mean() for k in range(n_clips)])
-
-
-def subject_motion_feature(dataset: Dataset, subject: Subject, clip_len: int = 10) -> float:
-    """Max clip motion energy across all of a subject's questions."""
-    best = 0.0
-    for q in range(QUESTION_COUNT):
-        frames = load_question_frames(dataset, subject, q)
-        energies = clip_motion_energies(frames, clip_len)
-        if energies.size:
-            best = max(best, float(energies.max()))
-    return best
-
-
-def planted_signal_probe(dataset: Dataset, clip_len: int = 10) -> float:
-    """Held-out accuracy of a one-feature threshold classifier.
-
-    Fits a threshold on half the subjects (alternating within each class, so
-    both halves carry both labels) and scores the held-out half. Used as a
-    sanity gate: well above 0.5 means the planted motif is recoverable before
-    any model training.
-    """
-    features = np.array([subject_motion_feature(dataset, s, clip_len) for s in dataset.subjects])
-    labels = dataset.labels
-    in_train = np.zeros(labels.size, dtype=bool)
-    for cls in (0, 1):
-        members = np.flatnonzero(labels == cls)
-        in_train[members[0::2]] = True
-    train_f, train_y = features[in_train], labels[in_train]
-    test_f, test_y = features[~in_train], labels[~in_train]
-
-    order = np.argsort(train_f, kind="stable")
-    sorted_f = train_f[order]
-    candidates = np.concatenate(([sorted_f[0] - 1.0],
-                                 (sorted_f[:-1] + sorted_f[1:]) / 2.0,
-                                 [sorted_f[-1] + 1.0]))
-    best_acc, best_thr, best_sign = -1.0, 0.0, 1
-    for thr in candidates:
-        for sign in (1, -1):
-            pred = (sign * train_f > sign * thr).astype(np.int64)
-            acc = float((pred == train_y).mean())
-            if acc > best_acc:
-                best_acc, best_thr, best_sign = acc, float(thr), sign
-    pred = (best_sign * test_f > best_sign * best_thr).astype(np.int64)
-    return float((pred == test_y).mean())

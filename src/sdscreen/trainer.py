@@ -298,8 +298,7 @@ def run_fold(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
         m, v, t, epochs_done = load_checkpoint(ckpt_path, params)
         state = AdamState(lr=train_cfg.lr, m=m, v=v, t=t)
         if history_path.is_file():
-            prior_rows = _parse_history(history_path.read_text(encoding="utf-8"),
-                                        up_to_epoch=epochs_done)
+            prior_rows = _parse_history(history_path, up_to_epoch=epochs_done)
 
     train_subjects, val_subjects = fold_subject_sets(
         dataset, train_cfg.folds, train_cfg.seed, fold_index)
@@ -320,17 +319,22 @@ def run_fold(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
     return all_rows, metrics
 
 
-def _parse_history(text: str, up_to_epoch: int) -> list[HistoryRow]:
-    lines = text.strip().splitlines()
+def _parse_history(path: Path, up_to_epoch: int) -> list[HistoryRow]:
+    """Rows up to ``up_to_epoch`` of a history file written by ``history_to_csv``."""
+    try:
+        lines = path.read_text(encoding="utf-8").strip().splitlines()
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text at byte {e.start}") from None
     if not lines or lines[0] != "epoch,loss,train_acc,val_acc":
-        raise FormatError("history file header mismatch")
+        raise FormatError(f"{path}: history file header mismatch")
     rows = []
     for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise FormatError(f"bad history row: {line!r}")
-        row = HistoryRow(epoch=int(parts[0]), loss=float(parts[1]),
-                         train_acc=float(parts[2]), val_acc=float(parts[3]))
+        try:
+            epoch, loss, train_acc, val_acc = line.split(",")
+            row = HistoryRow(epoch=int(epoch), loss=float(loss),
+                             train_acc=float(train_acc), val_acc=float(val_acc))
+        except ValueError:  # wrong field count or a non-numeric field
+            raise FormatError(f"{path}: bad history row {line!r}") from None
         if row.epoch <= up_to_epoch:
             rows.append(row)
     return rows

@@ -122,7 +122,7 @@ def test_attention_matches_pairwise_oracle(capsys):
     for seed in range(100):
         states, positions, psi, phi, omega, sigma = _random_instance(seed)
         params = RasParams(omegas=[Tensor(omega)], psi=Tensor(psi),
-                           phi=Tensor(phi), sigma=sigma)
+                           phi=Tensor(phi))
         st = stack([Tensor(row) for row in states])
         for use_difference in (True, False):
             for use_delta in (True, False):
@@ -151,7 +151,7 @@ def test_attention_exact_identities(capsys):
         params = RasParams(
             omegas=[Tensor(r.normal(size=dim))],
             psi=Tensor(r.normal(size=(dim, dim))),
-            phi=Tensor(r.normal(size=(dim, dim))), sigma=7.0)
+            phi=Tensor(r.normal(size=(dim, dim))))
         cfg = RasConfig(blocks=1, sigma=7.0)
 
         # Identical clip features pass through bit for bit.

@@ -175,6 +175,46 @@ def test_corrupt_manifest_exits_two(config_file, data_dir, tmp_path):
                  "--config", config_file]) == 2
 
 
+def test_non_utf8_manifest_exits_two(config_file, data_dir, tmp_path, capsys):
+    import shutil
+
+    broken = tmp_path / "broken"
+    shutil.copytree(data_dir, broken)
+    manifest = broken / "manifest.txt"
+    manifest.write_bytes(b"\xff" + manifest.read_bytes()[1:])  # the 'f' of "format"
+    assert main(["eval", "--data", str(broken), "--baseline", "sds-sum",
+                 "--config", config_file]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "UTF-8" in err[0]
+
+
+def test_non_utf8_config_exits_one(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"epochs = 2\nseed = \xff\n")
+    with pytest.raises(ConfigError, match="UTF-8"):
+        resolve_config(str(path))
+    assert main(["synth", "--out", str(tmp_path / "o"), "--config", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "UTF-8" in err[0]
+
+
+@pytest.mark.parametrize("history", [
+    b"epoch,loss,train_acc,val_acc\n1,abc,0.5,0.5\n",
+    b"epoch,loss,train_acc,val_acc\n1,0.69\xff,0.5,0.5\n",
+], ids=["non-numeric-field", "non-utf8-byte"])
+def test_resume_with_damaged_history_exits_two(history, config_file, data_dir,
+                                               run_dir, tmp_path, capsys):
+    import shutil
+
+    resumed = tmp_path / "resumed"
+    shutil.copytree(run_dir, resumed)
+    (resumed / "fold0_history.csv").write_bytes(history)
+    assert main(["train", "--data", data_dir, "--out", str(resumed), "--fold", "0",
+                 "--resume", "--config", config_file]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "fold0_history.csv" in err[0]
+
+
 def test_numeric_failure_exits_three(monkeypatch, tmp_path):
     from sdscreen import cli
 

@@ -1,19 +1,12 @@
-"""Clip segmentation, face-box expansion, resizing, grayscale conversion."""
+"""Half-overlapping clip segmentation."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdscreen.clipper import (
-    bilinear_resize,
-    clip_count,
-    extend_box,
-    preprocess,
-    segment,
-    to_gray,
-)
-from sdscreen.errors import ConfigError, ContractError, DataError
+from sdscreen.clipper import clip_count, segment
+from sdscreen.errors import ConfigError, DataError
 
 
 def test_clip_count_reference_values():
@@ -43,85 +36,27 @@ def test_clip_count_rejects_short_and_bad_len():
 def test_segment_positions_and_window_content():
     frames = np.arange(50, dtype=np.uint8).reshape(50, 1, 1)
     clips = segment(frames)
-    assert len(clips) == 9
-    assert [c.position for c in clips] == list(range(1, 10))
-    # Second window covers frames 5..14 after the half-length hop.
-    got = clips[1].values[0, 0, :] * 255.0
-    assert np.allclose(got, np.arange(5, 15))
-    for c in clips:
-        assert c.values.shape == (1, 1, 10)
+    assert clips.shape == (9, 1, 1, 10)
+    assert not clips.flags.writeable
+    # Clip k (position k + 1) covers frames 5k .. 5k + 9 after the half-length hop.
+    for k in range(9):
+        assert np.array_equal(clips[k, 0, 0, :] * 255.0, np.arange(5 * k, 5 * k + 10))
+
+
+@pytest.mark.parametrize("n", [10, 14, 15, 37])
+def test_segment_matches_per_window_copies(n):
+    frames = np.random.default_rng(n).integers(0, 256, (n, 3, 4)).astype(np.uint8)
+    scaled = frames.astype(np.float64) / 255.0
+    clips = segment(frames)
+    assert clips.shape == (clip_count(n), 3, 4, 10)
+    for k, clip in enumerate(clips):
+        want = np.ascontiguousarray(scaled[5 * k:5 * k + 10].transpose(1, 2, 0))
+        assert np.ascontiguousarray(clip).tobytes() == want.tobytes()
 
 
 def test_segment_accepts_unit_floats_and_rejects_out_of_range():
     frames = np.full((10, 2, 2), 0.5)
     clips = segment(frames)
-    assert np.all(clips[0].values == 0.5)
+    assert np.all(clips[0] == 0.5)
     with pytest.raises(DataError):
         segment(np.full((10, 2, 2), 1.5))
-
-
-def test_segment_only_half_overlap_supported():
-    with pytest.raises(ConfigError):
-        segment(np.zeros((10, 2, 2), np.uint8), overlap=0.25)
-
-
-def test_extend_box_doubles_around_center():
-    assert extend_box((100, 100, 50, 50), frame_hw=(400, 400)) == (75, 75, 100, 100)
-
-
-def test_extend_box_clamps_to_frame():
-    top, left, h, w = extend_box((0, 0, 40, 40), frame_hw=(100, 100))
-    assert (top, left) == (0, 0)
-    assert h <= 100 and w <= 100
-    assert h >= 40 and w >= 40
-
-
-def test_extend_box_degenerate_rejected():
-    with pytest.raises(ContractError):
-        extend_box((0, 0, 0, 10), frame_hw=(50, 50))
-
-
-def test_bilinear_resize_constant_image_stays_constant():
-    img = np.full((13, 9), 0.37)
-    out = bilinear_resize(img, (110, 110))
-    assert out.shape == (110, 110)
-    assert np.allclose(out, 0.37)
-
-
-def test_bilinear_resize_identity():
-    img = np.random.default_rng(0).uniform(size=(16, 16))
-    assert np.allclose(bilinear_resize(img, (16, 16)), img)
-
-
-def test_bilinear_resize_preserves_linear_ramp():
-    # A linear intensity ramp is reproduced exactly by bilinear sampling.
-    h, w = 10, 10
-    ramp = np.linspace(0.0, 1.0, w)[None, :].repeat(h, axis=0)
-    out = bilinear_resize(ramp, (10, 19))
-    rows = out[0]
-    assert np.all(np.diff(rows) >= -1e-12)
-    assert rows[0] == pytest.approx(ramp[0, 0])
-    assert rows[-1] == pytest.approx(ramp[0, -1])
-
-
-def test_to_gray_bt601_weights():
-    red = np.zeros((1, 1, 3))
-    red[0, 0, 0] = 1.0
-    assert to_gray(red)[0, 0] == pytest.approx(0.299)
-    rgb = np.array([[[255, 0, 0]]], dtype=np.uint8) / 255.0
-    assert round(to_gray(rgb)[0, 0] * 255.0) == 76
-
-
-def test_preprocess_shapes_and_dtype():
-    r = np.random.default_rng(4)
-    frame = r.integers(0, 256, size=(200, 200, 3)).astype(np.uint8)
-    out = preprocess(frame, box=(60, 60, 50, 50), out_size=110)
-    assert out.shape == (110, 110)
-    assert out.dtype == np.uint8
-
-
-def test_preprocess_gray_input_passthrough():
-    frame = np.full((64, 64), 128, np.uint8)
-    out = preprocess(frame, box=(16, 16, 16, 16), out_size=20)
-    assert out.shape == (20, 20)
-    assert np.all(out == 128)

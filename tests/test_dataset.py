@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdscreen.dataset import (
     Dataset,
@@ -176,6 +178,59 @@ def test_manifest_missing_key_rejected(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError):
         load_manifest(path)
+
+
+def test_manifest_non_utf8_is_format_error(tmp_path):
+    path = tmp_path / "manifest.txt"
+    save_manifest(make_dataset(1), path)
+    path.write_bytes(b"\xff" + path.read_bytes()[1:])  # the 'f' of "format"
+    with pytest.raises(FormatError, match="UTF-8"):
+        load_manifest(path)
+
+
+def byte_edits(blob):
+    """Up to four single-byte overwrites, then a truncation point."""
+    return (st.lists(st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255)),
+                     min_size=1, max_size=4),
+            st.integers(0, len(blob)))
+
+
+def mutate(blob, edits, keep):
+    out = bytearray(blob)
+    for pos, value in edits:
+        out[pos] = value
+    return bytes(out[:keep])
+
+
+SAMPLE_FRAMES = dump_frames(np.arange(3 * 4 * 5, dtype=np.uint8).reshape(3, 4, 5))
+
+
+@given(*byte_edits(SAMPLE_FRAMES))
+@settings(max_examples=300, deadline=None)
+def test_frames_byte_mutations_raise_only_format_or_data_error(edits, keep):
+    try:
+        load_frames(mutate(SAMPLE_FRAMES, edits, keep))
+    except (FormatError, DataError):
+        pass
+
+
+@pytest.fixture(scope="module")
+def manifest_blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("manifest") / "manifest.txt"
+    save_manifest(make_dataset(2), path)
+    return path, path.read_bytes()
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_manifest_byte_mutations_raise_only_format_or_data_error(manifest_blob, data):
+    path, blob = manifest_blob
+    edits, keep = (data.draw(strategy) for strategy in byte_edits(blob))
+    path.write_bytes(mutate(blob, edits, keep))
+    try:
+        load_manifest(path)
+    except (FormatError, DataError):
+        pass
 
 
 def test_load_dataset_checks_frame_files(tmp_path):

@@ -89,13 +89,29 @@ def test_encoding_is_deterministic_and_params_shared():
     clips = segment(frames)
     feats1, pos1 = encode_question_clips(clips, params)
     feats2, pos2 = encode_question_clips(clips, params)
-    assert pos1 == pos2 == [c.position for c in clips]
+    assert pos1 == pos2 == list(range(1, len(clips) + 1))
     for a, b in zip(feats1, feats2):
         assert np.array_equal(a.data, b.data)
     # Same parameters applied to identical clips give identical features.
     dup = segment(np.concatenate([frames[:10], frames[:10]]))
-    feats, _ = encode_question_clips([dup[0], dup[2]], params)
+    feats, _ = encode_question_clips(dup[[0, 2]], params)
     assert np.array_equal(feats[0].data, feats[1].data)
+
+
+@pytest.mark.parametrize("n", [10, 14, 15, 37])
+def test_question_features_match_contiguous_clip_copies(n):
+    # Encoding the strided clip view gives the same bits as encoding a
+    # contiguous (H, W, T) copy of each window.
+    plan = build_plan(12, clip_len=10, base_channels=2, feature_dim=4)
+    params = init_encoder(plan, np.random.default_rng(5))
+    frames = np.random.default_rng(n).integers(0, 256, (n, 12, 12)).astype(np.uint8)
+    feats, positions = encode_question_clips(segment(frames), params)
+    scaled = frames.astype(np.float64) / 255.0
+    assert positions == list(range(1, len(feats) + 1))
+    for k, feat in enumerate(feats):
+        window = np.ascontiguousarray(scaled[5 * k:5 * k + 10].transpose(1, 2, 0))
+        want = encode_clip(Tensor(window[..., None]), params)
+        assert feat.data.tobytes() == want.data.tobytes()
 
 
 def test_named_parameters_order_stable():

@@ -18,7 +18,7 @@ from sdscreen.model import (
     save_checkpoint,
     subject_forward,
 )
-from sdscreen.numerics import Tape
+from sdscreen.numerics import Tape, dump_container, load_container
 from sdscreen.synth import SynthConfig, generate
 
 CFG = ModelConfig(input_hw=12, clip_len=4, base_channels=2, feature_dim=4,
@@ -162,6 +162,23 @@ def test_checkpoint_roundtrip_and_errors(data, tmp_path):
     wider = init_model(dataclasses.replace(CFG, feature_dim=8))
     with pytest.raises(FormatError):
         load_checkpoint(path, wider)
+
+
+@pytest.mark.parametrize("key", ["adam.t", "meta.epochs_done"])
+@pytest.mark.parametrize("value", [np.array([1.0, 2.0]), np.array(np.nan),
+                                   np.array(np.inf), np.array(-3.5), np.array(-1.0),
+                                   np.array(2.5)],
+                         ids=["shape-2", "nan", "inf", "neg-fraction", "negative", "fraction"])
+def test_checkpoint_rejects_bad_counters(key, value, tmp_path):
+    params = init_model(CFG)
+    zeros = {n: np.zeros_like(t.data) for n, t in named_parameters(params)}
+    path = tmp_path / "weights.ckpt"
+    save_checkpoint(path, params, zeros, zeros, adam_t=4, epochs_done=2)
+    entries = load_container(path.read_bytes())
+    entries[key] = value
+    path.write_bytes(dump_container(entries))
+    with pytest.raises(FormatError, match=key):
+        load_checkpoint(path, init_model(CFG))
 
 
 def test_backward_frees_tape_and_intermediates(tmp_path):

@@ -18,12 +18,10 @@ from sdscreen.numerics.gradcheck import gradcheck
 from sdscreen.ras import (
     RasConfig,
     RasParams,
-    affinity,
     aggregate,
     encode_question,
     init_ras,
     ras_block,
-    temporal_kernel,
 )
 
 
@@ -76,12 +74,11 @@ def random_setup(seed, max_m=8, max_dim=16, blocks=2):
     return m, dim, feats, positions, psi, phi, omegas, sigma
 
 
-def make_params(psi, phi, omegas, sigma):
+def make_params(psi, phi, omegas):
     return RasParams(
         omegas=[Tensor(w, requires_grad=True) for w in omegas],
         psi=Tensor(psi, requires_grad=True),
         phi=Tensor(phi, requires_grad=True),
-        sigma=sigma,
     )
 
 
@@ -93,12 +90,19 @@ def test_block_matches_oracle_all_flag_combos(use_difference, use_delta, seed):
     m, dim, feats, positions, psi, phi, omegas, sigma = random_setup(seed, blocks=1)
     cfg = RasConfig(blocks=1, sigma=sigma, use_difference=use_difference,
                     use_delta=use_delta)
-    params = make_params(psi, phi, omegas, sigma)
-    states = stack([Tensor(f) for f in feats])
-    got = ras_block(states, states, positions, params, cfg, layer=1).data
-    want = oracle_block(np.stack(feats), np.stack(feats), positions, psi, phi,
-                        omegas[0], sigma, use_difference, use_delta)
-    assert np.max(np.abs(got - want)) <= 1e-12
+    params = make_params(psi, phi, omegas)
+    # Scale 1e4 drives most scores far past the exponent bound of 60: the
+    # clipped affinities must stay finite and still match the oracle. Huge
+    # scores take adjacent positions, since a row whose scores all sit at -60
+    # and whose neighbours are all far away would underflow to zero weight.
+    for scale, where in ((1.0, positions), (1e4, list(range(1, m + 1)))):
+        scaled = [f * scale for f in feats]
+        states = stack([Tensor(f) for f in scaled])
+        got = ras_block(states, states, where, params, cfg, layer=1).data
+        want = oracle_block(np.stack(scaled), np.stack(scaled), where, psi, phi,
+                            omegas[0], sigma, use_difference, use_delta)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("per_block", [True, False])
@@ -107,7 +111,7 @@ def test_block_matches_oracle_all_flag_combos(use_difference, use_delta, seed):
 def test_stacked_encode_matches_oracle(per_block, seed):
     m, dim, feats, positions, psi, phi, omegas, sigma = random_setup(seed, blocks=3)
     cfg = RasConfig(blocks=3, sigma=sigma, per_block_affinity=per_block)
-    params = make_params(psi, phi, omegas, sigma)
+    params = make_params(psi, phi, omegas)
     got = encode_question([Tensor(f) for f in feats], positions, params, cfg).data
     want = oracle_encode(feats, positions, psi, phi, omegas, sigma,
                          use_difference=True, use_delta=True, per_block=per_block)
@@ -125,7 +129,7 @@ def test_identical_features_pass_through_bitwise(seed):
     positions = list(range(1, m + 1))
     cfg = RasConfig(blocks=2, sigma=5.0)
     params = make_params(r.normal(size=(dim, dim)), r.normal(size=(dim, dim)),
-                         [r.normal(size=dim), r.normal(size=dim)], 5.0)
+                         [r.normal(size=dim), r.normal(size=dim)])
     states = stack(feats)
     out = ras_block(states, states, positions, params, cfg, layer=1)
     assert np.array_equal(out.data, states.data)
@@ -139,7 +143,7 @@ def test_single_clip_identity():
     feat = r.normal(size=6)
     cfg = RasConfig(blocks=3, sigma=10.0)
     params = make_params(r.normal(size=(6, 6)), r.normal(size=(6, 6)),
-                         [r.normal(size=6) for _ in range(3)], 10.0)
+                         [r.normal(size=6) for _ in range(3)])
     out = encode_question([Tensor(feat)], [1], params, cfg)
     assert np.array_equal(out.data, feat)
 
@@ -148,7 +152,7 @@ def test_single_clip_identity():
 @settings(max_examples=60, deadline=None)
 def test_permutation_equivariance_bitwise(seed):
     m, dim, feats, positions, psi, phi, omegas, sigma = random_setup(seed, blocks=2)
-    params = make_params(psi, phi, omegas, sigma)
+    params = make_params(psi, phi, omegas)
     perm = np.random.default_rng(seed + 1).permutation(m)
 
     # Position kernel off: permuting the features permutes the outputs.
@@ -173,7 +177,7 @@ def test_two_clip_unit_scale_swaps_states():
     r = np.random.default_rng(1)
     f1, f2 = r.normal(size=4), r.normal(size=4)
     cfg = RasConfig(blocks=1, sigma=10.0)
-    params = make_params(np.zeros((4, 4)), np.zeros((4, 4)), [np.ones(4)], 10.0)
+    params = make_params(np.zeros((4, 4)), np.zeros((4, 4)), [np.ones(4)])
     states = stack([Tensor(f1), Tensor(f2)])
     out = ras_block(states, states, [1, 2], params, cfg, layer=1).data
     assert np.allclose(out[0], f2, atol=1e-15)
@@ -184,7 +188,7 @@ def test_half_scale_averages_two_states():
     r = np.random.default_rng(2)
     f1, f2 = r.normal(size=3), r.normal(size=3)
     cfg = RasConfig(blocks=1, sigma=10.0)
-    params = make_params(np.zeros((3, 3)), np.zeros((3, 3)), [np.full(3, 0.5)], 10.0)
+    params = make_params(np.zeros((3, 3)), np.zeros((3, 3)), [np.full(3, 0.5)])
     states = stack([Tensor(f1), Tensor(f2)])
     out = ras_block(states, states, [1, 2], params, cfg, layer=1).data
     assert np.allclose(out[0], (f1 + f2) / 2.0, atol=1e-15)
@@ -209,29 +213,6 @@ def test_zero_blocks_is_plain_mean():
     assert np.allclose(out.data, np.stack(feats).mean(axis=0))
 
 
-def test_affinity_matches_exponentiated_bilinear_form():
-    r = np.random.default_rng(5)
-    fi, fj = r.normal(size=4), r.normal(size=4)
-    psi, phi = r.normal(size=(4, 4)), r.normal(size=(4, 4))
-    want = np.exp(np.dot(psi @ fi, phi @ fj))
-    assert affinity(fi, fj, psi, phi) == pytest.approx(want, rel=1e-15)
-    # Exponent bound keeps huge scores finite.
-    big = affinity(fi * 1e4, fj * 1e4, psi, phi)
-    assert np.isfinite(big)
-    assert big <= np.exp(60.0)
-
-
-def test_temporal_kernel_values():
-    assert temporal_kernel(3, 3, 10.0) == 1.0
-    assert temporal_kernel(1, 2, 1.0) == pytest.approx(np.exp(-1.0))
-    assert temporal_kernel(2, 5, 10.0) == pytest.approx(np.exp(-0.9))
-    assert temporal_kernel(5, 2, 10.0) == temporal_kernel(2, 5, 10.0)
-    with pytest.raises(ConfigError):
-        temporal_kernel(1, 2, 0.0)
-    with pytest.raises(ContractError):
-        temporal_kernel(0, 2, 10.0)
-
-
 def test_contract_errors():
     r = np.random.default_rng(6)
     cfg = RasConfig(blocks=2, sigma=10.0)
@@ -250,6 +231,15 @@ def test_contract_errors():
         ras_block(states, states, [1, 2, 3], params, cfg, layer=3)
 
 
+@pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
+def test_config_rejects_nonpositive_or_nonfinite_sigma(sigma):
+    cfg = RasConfig(blocks=1, sigma=sigma)
+    with pytest.raises(ConfigError):
+        cfg.validate()
+    with pytest.raises(ConfigError):
+        init_ras(4, cfg, np.random.default_rng(0))
+
+
 def test_encode_question_gradcheck_two_blocks():
     r = np.random.default_rng(7)
     dim, m = 8, 3
@@ -257,7 +247,7 @@ def test_encode_question_gradcheck_two_blocks():
     cfg = RasConfig(blocks=2, sigma=4.0)
     params = make_params(r.normal(size=(dim, dim)) * 0.3,
                          r.normal(size=(dim, dim)) * 0.3,
-                         [r.normal(size=dim) * 0.5 for _ in range(2)], 4.0)
+                         [r.normal(size=dim) * 0.5 for _ in range(2)])
     probe = Tensor(r.normal(size=dim))
     plist = feats + [p for _, p in params.named_parameters()]
 
@@ -273,7 +263,7 @@ def test_gradient_flows_to_embeddings_and_scales():
     feats = [Tensor(r.normal(size=dim)) for _ in range(4)]
     cfg = RasConfig(blocks=2, sigma=6.0)
     params = make_params(r.normal(size=(dim, dim)), r.normal(size=(dim, dim)),
-                         [r.normal(size=dim) for _ in range(2)], 6.0)
+                         [r.normal(size=dim) for _ in range(2)])
     probe = Tensor(r.normal(size=dim))
     with Tape() as tape:
         loss = dot(encode_question(feats, [1, 2, 3, 5], params, cfg), probe)

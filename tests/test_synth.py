@@ -3,19 +3,71 @@
 import numpy as np
 import pytest
 
-from sdscreen.dataset import load_dataset, load_question_frames, sds_sum_classify
-from sdscreen.errors import ConfigError
-from sdscreen.synth import (
-    SynthConfig,
-    clip_motion_energies,
-    disagreement_cells,
-    generate,
-    planted_signal_probe,
-    subject_motion_feature,
+from sdscreen.dataset import (
+    QUESTION_COUNT,
+    load_dataset,
+    load_question_frames,
+    sds_sum_classify,
 )
+from sdscreen.errors import ConfigError
+from sdscreen.synth import SynthConfig, disagreement_cells, generate
 
 FAST = dict(fps=1, height=12, width=12, time_median_s=3.0,
             time_min_s=2.0, time_max_s=5.0, clip_len=4)
+
+
+# ---------------------------------------------------------------------------
+# planted-signal probe: model-free evidence that the motif is recoverable
+
+
+def clip_motion_energies(frames, clip_len=10):
+    """Mean absolute successive-frame difference per half-overlapping clip
+    window of (N, H, W) uint8 frames, in [0, 1] units."""
+    stride = clip_len // 2
+    n = frames.shape[0]
+    if n < clip_len:
+        return np.zeros(0)
+    diffs = np.abs(np.diff(frames.astype(np.float64) / 255.0, axis=0)).mean(axis=(1, 2))
+    n_clips = (n - clip_len) // stride + 1
+    return np.array([diffs[k * stride:k * stride + clip_len - 1].mean() for k in range(n_clips)])
+
+
+def subject_motion_feature(dataset, subject, clip_len=10):
+    """Max clip motion energy across all of a subject's questions."""
+    best = 0.0
+    for q in range(QUESTION_COUNT):
+        energies = clip_motion_energies(load_question_frames(dataset, subject, q), clip_len)
+        if energies.size:
+            best = max(best, float(energies.max()))
+    return best
+
+
+def planted_signal_probe(dataset, clip_len=10):
+    """Held-out accuracy of a one-feature threshold classifier.
+
+    Fits a threshold on half the subjects (alternating within each class, so
+    both halves carry both labels) and scores the held-out half.
+    """
+    features = np.array([subject_motion_feature(dataset, s, clip_len) for s in dataset.subjects])
+    labels = dataset.labels
+    in_train = np.zeros(labels.size, dtype=bool)
+    for cls in (0, 1):
+        members = np.flatnonzero(labels == cls)
+        in_train[members[0::2]] = True
+    train_f, train_y = features[in_train], labels[in_train]
+    test_f, test_y = features[~in_train], labels[~in_train]
+
+    sorted_f = np.sort(train_f, kind="stable")
+    candidates = np.concatenate(([sorted_f[0] - 1.0],
+                                 (sorted_f[:-1] + sorted_f[1:]) / 2.0,
+                                 [sorted_f[-1] + 1.0]))
+    best_acc, best_thr, best_sign = -1.0, 0.0, 1
+    for thr in candidates:
+        for sign in (1, -1):
+            acc = float(((sign * train_f > sign * thr) == train_y).mean())
+            if acc > best_acc:
+                best_acc, best_thr, best_sign = acc, float(thr), sign
+    return float(((best_sign * test_f > best_sign * best_thr) == test_y).mean())
 
 
 def test_config_validation():

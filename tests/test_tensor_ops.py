@@ -11,7 +11,6 @@ from sdscreen.numerics import (
     Tensor,
     add,
     add_scalar,
-    backward,
     clip,
     concat,
     div,
@@ -30,9 +29,20 @@ from sdscreen.numerics import (
     sub,
     sum_sorted,
     transpose,
-    tsum,
 )
 from sdscreen.numerics.gradcheck import gradcheck
+from sdscreen.numerics.tensor import _finish
+
+
+def tsum(a):
+    """Sum of every element as a scalar tensor: the simplest loss for gradient tests."""
+    data = np.array(a.data.sum())
+
+    def bwd(g):
+        if a.requires_grad:
+            a.accumulate_grad(np.full_like(a.data, float(g)))
+
+    return _finish("tsum", data, (a,), bwd)
 
 
 def rng(seed=0):
@@ -109,7 +119,7 @@ def test_backward_without_tape_is_contract_error():
     a = Tensor(np.ones(()), requires_grad=True)
     out = mul_scalar(a, 2.0)  # no tape active
     with pytest.raises(ContractError):
-        backward(out)
+        Tape().backward(out)
 
 
 def test_tape_single_use():
@@ -291,8 +301,6 @@ def test_sum_sorted_gradcheck():
 
 def test_gradcheck_catches_wrong_gradient():
     # An op with a deliberately wrong backward must be flagged.
-    from sdscreen.numerics.tensor import _finish
-
     def bad_double(t: Tensor) -> Tensor:
         def bwd(g):
             if t.requires_grad:
