@@ -9,6 +9,7 @@ into one dictionary. Unknown keys are rejected. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -104,7 +105,10 @@ def _coerce(key: str, raw: str) -> object:
         if isinstance(default, int):
             return int(raw)
         if isinstance(default, float):
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError(f"not a finite number: {raw!r}")
+            return value
         return raw.strip()
     except ValueError as e:
         raise ConfigError(f"config key {key!r}: {e}") from None

@@ -8,13 +8,14 @@ Modes:
     slf    two jointly trained heads, one on [video | 0 | time] and one on
            [0 | score | time]; the subject probability is their average
 
-Checkpoints are named-array containers holding every parameter, the optimizer
-moments, and the finished-epoch counter.
+A checkpoint is a fold's whole resumable state: every parameter, the optimizer
+moments, the finished epochs' history rows and the model config it was trained with.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,7 @@ __all__ = [
     "SubjectVideo",
     "load_subject_video",
     "subject_forward",
+    "HistoryRow",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -197,24 +199,54 @@ def subject_forward(params: ModelParams, subject: Subject,
 # checkpoints
 
 
+@dataclass
+class HistoryRow:
+    epoch: int
+    loss: float
+    train_acc: float
+    val_acc: float
+
+
+# The meta.model slots, named as the CLI config keys.
+_MODEL_KEYS = ("input_hw", "clip_len", "base_channels", "feature_dim", "hidden1", "hidden2",
+              "blocks", "sigma", "use_difference", "use_delta", "per_block_affinity",
+              "use_time", "mode")
+
+
+def _model_vector(c: ModelConfig) -> np.ndarray:
+    """Every config field but init_seed, which only picks the starting weights
+    a checkpoint replaces; mode is its index in MODES."""
+    return np.array([c.input_hw, c.clip_len, c.base_channels, c.feature_dim, *c.hidden,
+                     c.blocks, c.sigma, c.use_difference, c.use_delta,
+                     c.per_block_affinity, c.use_time, MODES.index(c.mode)], dtype=np.float64)
+
+
 def save_checkpoint(path: Path | str, params: ModelParams,
                     adam_m: dict[str, np.ndarray], adam_v: dict[str, np.ndarray],
-                    adam_t: int, epochs_done: int) -> None:
+                    adam_t: int, history: list[HistoryRow]) -> None:
+    """Atomic against a killed process: written beside ``path``, then renamed."""
     entries: dict[str, np.ndarray] = {}
     for name, tensor in named_parameters(params):
         entries[f"param.{name}"] = tensor.data
         entries[f"adam.m.{name}"] = adam_m[name]
         entries[f"adam.v.{name}"] = adam_v[name]
     entries["adam.t"] = np.array(float(adam_t))
-    entries["meta.epochs_done"] = np.array(float(epochs_done))
-    Path(path).write_bytes(dump_container(entries))
+    entries["meta.history"] = np.array([astuple(r) for r in history], np.float64).reshape(-1, 4)
+    entries["meta.model"] = _model_vector(params.config)
+    tmp = Path(f"{path}.tmp")
+    tmp.write_bytes(dump_container(entries))
+    os.replace(tmp, path)
+
+
+def _pop(entries: dict[str, np.ndarray], key: str) -> np.ndarray:
+    if key not in entries:
+        raise FormatError(f"checkpoint lacks entry {key!r}")
+    return entries.pop(key)
 
 
 def _pop_count(entries: dict[str, np.ndarray], key: str) -> int:
     """Take a counter entry: a 0-d, finite, non-negative, integral value."""
-    if key not in entries:
-        raise FormatError(f"checkpoint lacks entry {key!r}")
-    arr = entries.pop(key)
+    arr = _pop(entries, key)
     if arr.shape != ():
         raise FormatError(f"checkpoint entry {key!r} has shape {arr.shape}, expected a scalar")
     value = float(arr)
@@ -223,9 +255,29 @@ def _pop_count(entries: dict[str, np.ndarray], key: str) -> int:
     return int(value)
 
 
+def _pop_history(entries: dict[str, np.ndarray]) -> list[HistoryRow]:
+    """Rows of epochs 1..n, finite losses, accuracies in [0, 1] (val_acc NaN: no validation)."""
+    history = _pop(entries, "meta.history")
+    if history.ndim != 2 or history.shape[1] != 4:
+        raise FormatError(f"checkpoint entry 'meta.history' has shape {history.shape}, not (n, 4)")
+    epoch, loss, train_acc, val_acc = history.T
+    if not np.array_equal(epoch, np.arange(1, len(history) + 1)):
+        raise FormatError("checkpoint entry 'meta.history' does not hold epochs 1..n in order")
+    if not (np.isfinite(loss).all() and ((train_acc >= 0) & (train_acc <= 1)).all()
+            and (((val_acc >= 0) & (val_acc <= 1)) | np.isnan(val_acc)).all()):
+        raise FormatError("checkpoint entry 'meta.history' holds a non-finite loss "
+                          "or an accuracy outside [0, 1]")
+    return [HistoryRow(int(row[0]), *row[1:]) for row in history.tolist()]
+
+
 def load_checkpoint(path: Path | str, params: ModelParams
-                    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], int, int]:
-    """Load weights into ``params`` in place; returns (m, v, t, epochs_done)."""
+                    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], int,
+                               list[HistoryRow]]:
+    """Load weights into ``params`` in place; returns (m, v, t, history).
+
+    Raises FormatError on damaged or foreign bytes and ConfigError when the
+    checkpoint was trained with a model config other than ``params.config``.
+    """
     path = Path(path)
     if not path.is_file():
         raise FormatError(f"checkpoint missing: {path}")
@@ -235,19 +287,31 @@ def load_checkpoint(path: Path | str, params: ModelParams
     for name, tensor in named_parameters(params):
         for prefix, sink in (("param.", None), ("adam.m.", adam_m), ("adam.v.", adam_v)):
             key = prefix + name
-            if key not in entries:
-                raise FormatError(f"checkpoint lacks entry {key!r}")
-            arr = entries.pop(key)
+            arr = _pop(entries, key)
             if arr.shape != tensor.data.shape:
                 raise FormatError(
                     f"checkpoint entry {key!r} has shape {arr.shape}, "
                     f"model expects {tensor.data.shape}")
+            lo, hi = arr.min(), arr.max()  # NaN propagates through both
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise FormatError(f"checkpoint entry {key!r} holds non-finite values")
+            if sink is adam_v and lo < 0:
+                raise FormatError(f"checkpoint entry {key!r} holds negative values")
             if sink is None:
                 tensor.data = np.ascontiguousarray(arr)
             else:
                 sink[name] = arr
     adam_t = _pop_count(entries, "adam.t")
-    epochs_done = _pop_count(entries, "meta.epochs_done")
+    history = _pop_history(entries)
+    stored = _pop(entries, "meta.model")
     if entries:
         raise FormatError(f"checkpoint has unexpected entries: {sorted(entries)[:4]}")
-    return adam_m, adam_v, adam_t, epochs_done
+    wanted = _model_vector(params.config)
+    if stored.shape != wanted.shape:
+        raise FormatError(f"checkpoint entry 'meta.model' has shape {stored.shape}, "
+                          f"expected {wanted.shape}")
+    differ = [k for k, a, b in zip(_MODEL_KEYS, stored, wanted) if a != b]
+    if differ:
+        raise ConfigError(f"{path} was trained with other model settings: "
+                          f"{', '.join(differ)} differ")
+    return adam_m, adam_v, adam_t, history

@@ -45,15 +45,19 @@ def dump_array(arr: np.ndarray) -> bytes:
 
 class _Reader:
     def __init__(self, blob: bytes):
-        self.blob = blob
+        self.view = memoryview(blob)
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
+    def view_of(self, n: int) -> memoryview:
+        """The next ``n`` bytes, without copying them."""
+        if self.pos + n > len(self.view):
             raise FormatError("snapshot truncated")
-        chunk = self.blob[self.pos:self.pos + n]
+        chunk = self.view[self.pos:self.pos + n]
         self.pos += n
         return chunk
+
+    def take(self, n: int) -> bytes:
+        return bytes(self.view_of(n))
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -66,12 +70,12 @@ def _read_array(r: _Reader) -> np.ndarray:
     if version != SNAPSHOT_VERSION:
         raise FormatError(f"unsupported snapshot version {version}")
     shape = tuple(r.unpack("<Q")[0] for _ in range(rank))
-    payload = r.take(8 * math.prod(shape))  # Python ints: hostile extents cannot overflow
+    payload = r.view_of(8 * math.prod(shape))  # Python ints: hostile extents cannot overflow
     try:
         arr = np.frombuffer(payload, dtype="<f8").reshape(shape)
     except ValueError:  # too many axes, or a zero-size shape numpy cannot represent
         raise FormatError(f"unsupported snapshot shape {shape}") from None
-    return arr.astype(np.float64)
+    return arr.astype(np.float64)  # the one copy, which also lets the blob go
 
 
 def load_array(blob: bytes) -> np.ndarray:

@@ -78,15 +78,16 @@ class SynthConfig:
             raise ConfigError(f"fps must be a positive integer, got {self.fps}")
         if self.height < 8 or self.width < 8:
             raise ConfigError(f"frame extents must be >= 8, got {self.height}x{self.width}")
-        if self.motif_strength < 0:
+        # Written so that NaN fails each comparison.
+        if not self.motif_strength >= 0:
             raise ConfigError(f"motif_strength must be >= 0, got {self.motif_strength}")
         if not 0 < self.time_min_s < self.time_max_s:
             raise ConfigError(
                 f"need 0 < time_min_s < time_max_s, got {self.time_min_s}, {self.time_max_s}"
             )
-        if self.time_median_s <= 0 or self.time_sigma <= 0 or self.time_shift <= 0:
+        if not (self.time_median_s > 0 and self.time_sigma > 0 and self.time_shift > 0):
             raise ConfigError("time distribution parameters must be positive")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.clip_len < 2:
             raise ConfigError(f"clip_len must be >= 2, got {self.clip_len}")

@@ -15,14 +15,16 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dataset, Subject
-from .errors import ConfigError, FormatError, NumericError, UndefinedMetricError
+from .errors import ConfigError, NumericError, UndefinedMetricError
 from .fusion import bce_loss
 from .metrics import accuracy, confusion, roc_auc, sensitivity, specificity
 from .model import (
+    HistoryRow,
     ModelConfig,
     ModelParams,
     SubjectVideo,
     init_model,
+    load_checkpoint,
     load_subject_video,
     named_parameters,
     save_checkpoint,
@@ -112,7 +114,7 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr < 0:
+        if not self.lr >= 0:  # NaN fails too
             raise ConfigError(f"lr must be >= 0, got {self.lr}")
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"threshold must lie in [0, 1], got {self.threshold}")
@@ -141,14 +143,6 @@ def kfold_split(subject_ids: list[str], k: int = 5, seed: int = 0) -> list[list[
 
 # ---------------------------------------------------------------------------
 # training loop
-
-
-@dataclass
-class HistoryRow:
-    epoch: int
-    loss: float
-    train_acc: float
-    val_acc: float
 
 
 def history_to_csv(rows: list[HistoryRow]) -> str:
@@ -198,16 +192,16 @@ def evaluate_metrics(probs: np.ndarray, labels: np.ndarray,
 
 def train(dataset: Dataset, params: ModelParams, train_subjects: list[Subject],
           val_subjects: list[Subject], cfg: TrainConfig,
-          state: AdamState | None = None, epochs_done: int = 0,
+          state: AdamState | None = None, history: list[HistoryRow] | None = None,
           checkpoint_path: Path | str | None = None
           ) -> tuple[AdamState, list[HistoryRow], np.ndarray | None]:
-    """Run epochs epochs_done+1 .. cfg.epochs; returns optimizer state, history
-    and the last epoch's validation probabilities (None when no epoch ran or
-    there are no validation subjects).
+    """Run epochs len(history)+1 .. cfg.epochs; returns optimizer state, the
+    full history and the last epoch's validation probabilities (None when no
+    epoch ran or there are no validation subjects). Every epoch's checkpoint
+    holds the full history so far.
 
-    Passing a state/epochs_done pair restored from a checkpoint continues the
-    run and reproduces exactly the history an uninterrupted run would have
-    produced from that epoch on.
+    Passing the state and history restored from a checkpoint continues the
+    run and reproduces exactly what an uninterrupted run would have produced.
     """
     cfg.validate()
     if not train_subjects:
@@ -218,17 +212,17 @@ def train(dataset: Dataset, params: ModelParams, train_subjects: list[Subject],
     else:
         state.lr = cfg.lr
 
-    if epochs_done >= cfg.epochs:
-        return state, [], None
+    history = list(history or [])
+    if len(history) >= cfg.epochs:
+        return state, history, None
 
     needs_video = params.config.mode != "mlp"
     train_videos = load_videos(dataset, train_subjects, needs_video)
     val_videos = load_videos(dataset, val_subjects, needs_video)
     val_labels = np.array([s.label for s in val_subjects])
 
-    history: list[HistoryRow] = []
     val_probs = None
-    for epoch in range(epochs_done + 1, cfg.epochs + 1):
+    for epoch in range(len(history) + 1, cfg.epochs + 1):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, epoch)))
         order = rng.permutation(len(train_subjects))
         batch_losses: list[float] = []
@@ -259,7 +253,7 @@ def train(dataset: Dataset, params: ModelParams, train_subjects: list[Subject],
         history.append(HistoryRow(epoch=epoch, loss=float(np.mean(batch_losses)),
                                   train_acc=train_acc, val_acc=val_acc))
         if checkpoint_path is not None:
-            save_checkpoint(checkpoint_path, params, state.m, state.v, state.t, epoch)
+            save_checkpoint(checkpoint_path, params, state.m, state.v, state.t, history)
     return state, history, val_probs
 
 
@@ -280,35 +274,25 @@ def fold_subject_sets(dataset: Dataset, k: int, seed: int,
 def run_fold(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
              fold_index: int, out_dir: Path | str,
              resume: bool = False) -> tuple[list[HistoryRow], dict[str, float]]:
-    """Train one fold end to end; writes checkpoint + history, returns metrics."""
-    from .model import load_checkpoint  # local import keeps module init light
-
+    """Train one fold; the checkpoint is its only resumable state, the history CSV an output."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / f"fold{fold_index}.ckpt"
     history_path = out_dir / f"fold{fold_index}_history.csv"
 
     params = init_model(model_cfg)
-    state = None
-    epochs_done = 0
-    prior_rows: list[HistoryRow] = []
+    state, history = None, []
     if resume:
-        if not ckpt_path.is_file():
-            raise FormatError(f"cannot resume: {ckpt_path} missing")
-        m, v, t, epochs_done = load_checkpoint(ckpt_path, params)
+        m, v, t, history = load_checkpoint(ckpt_path, params)
         state = AdamState(lr=train_cfg.lr, m=m, v=v, t=t)
-        if history_path.is_file():
-            prior_rows = _parse_history(history_path, up_to_epoch=epochs_done)
 
     train_subjects, val_subjects = fold_subject_sets(
         dataset, train_cfg.folds, train_cfg.seed, fold_index)
-    state, rows, probs = train(dataset, params, train_subjects, val_subjects, train_cfg,
-                               state=state, epochs_done=epochs_done,
-                               checkpoint_path=ckpt_path)
-    all_rows = prior_rows + rows
-    history_path.write_text(history_to_csv(all_rows), encoding="utf-8")
+    state, history, probs = train(dataset, params, train_subjects, val_subjects, train_cfg,
+                                  state=state, history=history, checkpoint_path=ckpt_path)
+    history_path.write_text(history_to_csv(history), encoding="utf-8")
     if train_cfg.epochs == 0 and not ckpt_path.is_file():
-        save_checkpoint(ckpt_path, params, state.m, state.v, state.t, 0)
+        save_checkpoint(ckpt_path, params, state.m, state.v, state.t, history)
 
     if probs is None:
         # No epoch ran, so nothing has evaluated the initial or restored weights.
@@ -316,25 +300,4 @@ def run_fold(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
         probs = evaluate_probs(params, val_subjects, val_videos)
     labels = np.array([s.label for s in val_subjects])
     metrics = evaluate_metrics(probs, labels, train_cfg.threshold)
-    return all_rows, metrics
-
-
-def _parse_history(path: Path, up_to_epoch: int) -> list[HistoryRow]:
-    """Rows up to ``up_to_epoch`` of a history file written by ``history_to_csv``."""
-    try:
-        lines = path.read_text(encoding="utf-8").strip().splitlines()
-    except UnicodeDecodeError as e:
-        raise FormatError(f"{path}: not UTF-8 text at byte {e.start}") from None
-    if not lines or lines[0] != "epoch,loss,train_acc,val_acc":
-        raise FormatError(f"{path}: history file header mismatch")
-    rows = []
-    for line in lines[1:]:
-        try:
-            epoch, loss, train_acc, val_acc = line.split(",")
-            row = HistoryRow(epoch=int(epoch), loss=float(loss),
-                             train_acc=float(train_acc), val_acc=float(val_acc))
-        except ValueError:  # wrong field count or a non-numeric field
-            raise FormatError(f"{path}: bad history row {line!r}") from None
-        if row.epoch <= up_to_epoch:
-            rows.append(row)
-    return rows
+    return history, metrics

@@ -8,11 +8,10 @@ then fails the usual way if the criterion does not hold.
 import time
 
 import numpy as np
-import pytest
 
 from sdscreen.clipper import clip_count, segment
 from sdscreen.dataset import sds_sum_classify
-from sdscreen.encoder3d import build_plan, encode_clip, init_encoder, shape_chain
+from sdscreen.encoder3d import build_plan, encode_clip, init_encoder
 from sdscreen.fusion import encode_score, fuse_question, init_fusion, predict_subject
 from sdscreen.metrics import accuracy, confusion, roc_auc, sensitivity, specificity
 from sdscreen.model import ModelConfig

@@ -1,5 +1,8 @@
 """Command-line behavior: config resolution, commands, artifacts, exit codes."""
 
+import dataclasses
+import shutil
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,10 @@ from sdscreen.cli import (
     run_gradchecks,
 )
 from sdscreen.errors import ConfigError, NumericError
+from sdscreen.model import ModelConfig
+from sdscreen.numerics import dump_container, load_container
+from sdscreen.synth import SynthConfig
+from sdscreen.trainer import TrainConfig
 
 TINY_CONFIG = """\
 # reduced geometry for tests
@@ -115,6 +122,27 @@ def test_invalid_rate_exits_one(tmp_path, capsys):
     assert "disagreement_rate" in capsys.readouterr().err
 
 
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    return err[0]
+
+
+@pytest.mark.parametrize("key", sorted(k for k, v in DEFAULTS.items() if isinstance(v, float)))
+def test_nonfinite_float_config_exits_one(key, tmp_path, capsys):
+    for raw in ("nan", "inf", "-inf"):
+        assert main(["synth", "--out", str(tmp_path / "d"), "--set", f"{key}={raw}"]) == 1
+        assert key in one_error_line(capsys)
+    assert not (tmp_path / "d").exists()
+    # API callers bypass the CLI: each config's own validation refuses NaN.
+    owners = [cls for cls in (SynthConfig, ModelConfig, TrainConfig)
+              if key in {f.name for f in dataclasses.fields(cls)}]
+    for cls in owners:
+        with pytest.raises(ConfigError):
+            cls(**{key: float("nan")}).validate()
+    assert owners
+
+
 def test_usage_problem_exits_one(capsys):
     assert main(["train"]) == 1  # missing required arguments
     assert main(["no-such-command"]) == 1
@@ -165,8 +193,6 @@ def test_missing_dataset_exits_two(config_file, tmp_path):
 
 
 def test_corrupt_manifest_exits_two(config_file, data_dir, tmp_path):
-    import shutil
-
     broken = tmp_path / "broken"
     shutil.copytree(data_dir, broken)
     manifest = broken / "manifest.txt"
@@ -176,8 +202,6 @@ def test_corrupt_manifest_exits_two(config_file, data_dir, tmp_path):
 
 
 def test_non_utf8_manifest_exits_two(config_file, data_dir, tmp_path, capsys):
-    import shutil
-
     broken = tmp_path / "broken"
     shutil.copytree(data_dir, broken)
     manifest = broken / "manifest.txt"
@@ -199,20 +223,41 @@ def test_non_utf8_config_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("history", [
-    b"epoch,loss,train_acc,val_acc\n1,abc,0.5,0.5\n",
-    b"epoch,loss,train_acc,val_acc\n1,0.69\xff,0.5,0.5\n",
-], ids=["non-numeric-field", "non-utf8-byte"])
+    [[1.0, 0.69, 0.5, 0.5], [3.0, 0.68, 0.5, 0.5]],
+    [[1.0, 0.69, 0.5]],
+    [[1.0, np.nan, 0.5, 0.5]],
+], ids=["gap", "wrong-shape", "nan-loss"])
 def test_resume_with_damaged_history_exits_two(history, config_file, data_dir,
                                                run_dir, tmp_path, capsys):
-    import shutil
-
     resumed = tmp_path / "resumed"
     shutil.copytree(run_dir, resumed)
-    (resumed / "fold0_history.csv").write_bytes(history)
+    ckpt = resumed / "fold0.ckpt"
+    entries = load_container(ckpt.read_bytes())
+    entries["meta.history"] = np.array(history)
+    ckpt.write_bytes(dump_container(entries))
     assert main(["train", "--data", data_dir, "--out", str(resumed), "--fold", "0",
-                 "--resume", "--config", config_file]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "fold0_history.csv" in err[0]
+                 "--resume", "--set", "epochs=3", "--config", config_file]) == 2
+    assert "meta.history" in one_error_line(capsys)
+
+
+def test_resume_under_another_ablation_exits_one(config_file, data_dir, run_dir,
+                                                  tmp_path, capsys):
+    resumed = tmp_path / "resumed"
+    shutil.copytree(run_dir, resumed)
+    assert main(["train", "--data", data_dir, "--out", str(resumed), "--fold", "0",
+                 "--resume", "--set", "epochs=2", "--ablate", "wo-delta",
+                 "--config", config_file]) == 1
+    assert "use_delta differ" in one_error_line(capsys)
+    assert (resumed / "fold0.ckpt").read_bytes() == (run_dir / "fold0.ckpt").read_bytes()
+
+
+def test_eval_under_another_model_config_exits_one(config_file, data_dir, run_dir,
+                                                    tmp_path, capsys):
+    assert main(["eval", "--data", data_dir, "--run", str(run_dir),
+                 "--out", str(tmp_path / "report"), "--config", config_file,
+                 "--set", "sigma=0.01", "--set", "use_time=false"]) == 1
+    assert "sigma, use_time differ" in one_error_line(capsys)
+    assert not (tmp_path / "report").exists()
 
 
 def test_numeric_failure_exits_three(monkeypatch, tmp_path):

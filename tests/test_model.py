@@ -10,6 +10,7 @@ import pytest
 from sdscreen.errors import ConfigError, FormatError
 from sdscreen.fusion import bce_loss
 from sdscreen.model import (
+    HistoryRow,
     ModelConfig,
     init_model,
     load_checkpoint,
@@ -140,16 +141,24 @@ def test_slf_needs_second_head(data):
                         load_subject_video(data, data.subjects[0]))
 
 
+HISTORY = [HistoryRow(1, 0.75, 0.5, float("nan")), HistoryRow(2, 0.5, 0.75, 1.0),
+           HistoryRow(3, 0.25, 1.0, 0.0)]
+
+
 def test_checkpoint_roundtrip_and_errors(data, tmp_path):
     params = randomized(init_model(CFG))
     m = {n: np.full_like(t.data, 0.25) for n, t in named_parameters(params)}
     v = {n: np.full_like(t.data, 0.5) for n, t in named_parameters(params)}
     path = tmp_path / "weights.ckpt"
-    save_checkpoint(path, params, m, v, adam_t=7, epochs_done=3)
+    save_checkpoint(path, params, m, v, adam_t=7, history=HISTORY)
+    assert [p.name for p in tmp_path.iterdir()] == ["weights.ckpt"]  # the temp file is renamed
 
-    fresh = init_model(CFG)
-    m2, v2, t2, done = load_checkpoint(path, fresh)
-    assert (t2, done) == (7, 3)
+    fresh = init_model(dataclasses.replace(CFG, init_seed=9))  # init_seed is not compared
+    m2, v2, t2, history = load_checkpoint(path, fresh)
+    assert t2 == 7
+    np.testing.assert_equal([dataclasses.astuple(r) for r in history],
+                            [dataclasses.astuple(r) for r in HISTORY])
+    assert [type(r.epoch) for r in history] == [int] * 3
     for (n, a), (_, b) in zip(named_parameters(params), named_parameters(fresh)):
         assert np.array_equal(a.data, b.data), n
         assert np.array_equal(m2[n], m[n])
@@ -164,21 +173,98 @@ def test_checkpoint_roundtrip_and_errors(data, tmp_path):
         load_checkpoint(path, wider)
 
 
-@pytest.mark.parametrize("key", ["adam.t", "meta.epochs_done"])
+def saved_entries(path):
+    """The entries of a valid two-epoch checkpoint of CFG saved at ``path``."""
+    params = init_model(CFG)
+    zeros = {n: np.zeros_like(t.data) for n, t in named_parameters(params)}
+    save_checkpoint(path, params, zeros, zeros, adam_t=4, history=HISTORY[:2])
+    return load_container(path.read_bytes())
+
+
+def load_edited(path, key, value):
+    entries = saved_entries(path)
+    if value is None:
+        del entries[key]
+    else:
+        entries[key] = value
+    path.write_bytes(dump_container(entries))
+    return load_checkpoint(path, init_model(CFG))
+
+
+# meta.history took over meta.epochs_done: its row count is the epochs done.
+@pytest.mark.parametrize("key", ["adam.t", "meta.history"])
 @pytest.mark.parametrize("value", [np.array([1.0, 2.0]), np.array(np.nan),
                                    np.array(np.inf), np.array(-3.5), np.array(-1.0),
                                    np.array(2.5)],
                          ids=["shape-2", "nan", "inf", "neg-fraction", "negative", "fraction"])
 def test_checkpoint_rejects_bad_counters(key, value, tmp_path):
-    params = init_model(CFG)
-    zeros = {n: np.zeros_like(t.data) for n, t in named_parameters(params)}
-    path = tmp_path / "weights.ckpt"
-    save_checkpoint(path, params, zeros, zeros, adam_t=4, epochs_done=2)
-    entries = load_container(path.read_bytes())
-    entries[key] = value
-    path.write_bytes(dump_container(entries))
     with pytest.raises(FormatError, match=key):
-        load_checkpoint(path, init_model(CFG))
+        load_edited(tmp_path / "weights.ckpt", key, value)
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("param.fusion.b3", lambda a: np.full_like(a, np.nan)),
+    ("param.enc.conv0.kernel", lambda a: np.where(a == a.flat[0], np.inf, a)),
+    ("adam.m.ras.psi", lambda a: np.full_like(a, -np.inf)),
+    ("adam.v.fusion.w1", lambda a: np.full_like(a, np.nan)),
+    ("adam.v.enc.fc.bias", lambda a: np.full_like(a, -1e-300)),
+], ids=["param-nan", "param-inf", "adam-m-neg-inf", "adam-v-nan", "adam-v-negative"])
+def test_checkpoint_rejects_bad_values(key, edit, tmp_path):
+    path = tmp_path / "weights.ckpt"
+    with pytest.raises(FormatError, match=key):
+        load_edited(path, key, edit(saved_entries(path)[key]))
+
+
+@pytest.mark.parametrize("history", [
+    [[1, 0.5, 0.5, 0.5], [3, 0.5, 0.5, 0.5]],
+    [[2, 0.5, 0.5, 0.5]],
+    [[2, 0.5, 0.5, 0.5], [1, 0.5, 0.5, 0.5]],
+    [[1, 0.5, 0.5]],
+    [[1, np.nan, 0.5, 0.5]],
+    [[1, np.inf, 0.5, 0.5]],
+    [[1, 0.5, 1.5, 0.5]],
+    [[1, 0.5, np.nan, 0.5]],
+    [[1, 0.5, 0.5, -0.25]],
+], ids=["gap", "not-from-1", "out-of-order", "three-columns", "nan-loss", "inf-loss",
+        "train-acc-above-1", "nan-train-acc", "negative-val-acc"])
+def test_checkpoint_rejects_bad_history(history, tmp_path):
+    with pytest.raises(FormatError, match="meta.history"):
+        load_edited(tmp_path / "weights.ckpt", "meta.history", np.array(history))
+
+
+@pytest.mark.parametrize("key", ["meta.history", "meta.model"])
+def test_checkpoint_without_meta_entry_is_refused(key, tmp_path):
+    # A checkpoint from before the history and config moved into it lacks both.
+    with pytest.raises(FormatError, match=key):
+        load_edited(tmp_path / "weights.ckpt", key, None)
+
+
+def test_model_vector_covers_every_field_but_init_seed():
+    from sdscreen.model import _MODEL_KEYS, _model_vector
+
+    base = _model_vector(CFG)
+    assert len(base) == len(_MODEL_KEYS)
+    for f in dataclasses.fields(ModelConfig):
+        value = getattr(CFG, f.name)
+        changed = ("mlp" if f.name == "mode" else (value[0], value[1] + 1) if f.name == "hidden"
+                   else not value if isinstance(value, bool) else value + 1)
+        vector = _model_vector(dataclasses.replace(CFG, **{f.name: changed}))
+        assert np.array_equal(vector, base) == (f.name == "init_seed"), f.name
+
+
+@pytest.mark.parametrize("change, keys", [
+    ({"sigma": 0.01, "use_time": False}, "sigma, use_time"),
+    ({"use_delta": False}, "use_delta"),
+    ({"use_difference": False, "per_block_affinity": True},
+     "use_difference, per_block_affinity"),
+    ({"mode": "video"}, "mode"),
+    ({"mode": "mlp"}, "mode"),
+])
+def test_checkpoint_refuses_other_model_config(change, keys, tmp_path):
+    path = tmp_path / "weights.ckpt"
+    saved_entries(path)
+    with pytest.raises(ConfigError, match=f"{keys} differ"):
+        load_checkpoint(path, init_model(dataclasses.replace(CFG, **change)))
 
 
 def test_backward_frees_tape_and_intermediates(tmp_path):

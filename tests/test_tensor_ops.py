@@ -10,7 +10,6 @@ from sdscreen.numerics import (
     Tape,
     Tensor,
     add,
-    add_scalar,
     clip,
     concat,
     div,

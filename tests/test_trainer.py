@@ -1,5 +1,7 @@
 """Adam update rule, fold splitting, the epoch loop, resume, determinism."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,12 @@ from sdscreen.model import (
     init_model,
     load_checkpoint,
     load_subject_video,
+    save_checkpoint,
     subject_forward,
 )
 from sdscreen.numerics import Tensor
 from sdscreen.synth import SynthConfig, generate
 from sdscreen.trainer import (
-    AdamState,
     HistoryRow,
     TrainConfig,
     adam_step,
@@ -166,7 +168,7 @@ def tiny_dataset(tmp_path_factory):
     return generate(TINY_SYNTH, root)
 
 
-def run_training(dataset, epochs, seed=1, resume_state=None, epochs_done=0,
+def run_training(dataset, epochs, seed=1, resume_state=None, history=None,
                  params=None):
     if params is None:
         params = init_model(TINY_MODEL)
@@ -174,7 +176,7 @@ def run_training(dataset, epochs, seed=1, resume_state=None, epochs_done=0,
     train_subjects = dataset.subjects[:6]
     val_subjects = dataset.subjects[6:]
     state, rows, _ = train(dataset, params, train_subjects, val_subjects, cfg,
-                           state=resume_state, epochs_done=epochs_done)
+                           state=resume_state, history=history)
     return params, state, rows
 
 
@@ -202,9 +204,10 @@ def test_training_is_deterministic(tiny_dataset):
 def test_resumed_run_matches_uninterrupted(tiny_dataset):
     _, _, straight = run_training(tiny_dataset, epochs=4)
     params, state, first = run_training(tiny_dataset, epochs=2)
-    _, _, rest = run_training(tiny_dataset, epochs=4, resume_state=state,
-                              epochs_done=2, params=params)
-    assert history_to_csv(first + rest) == history_to_csv(straight)
+    _, _, resumed = run_training(tiny_dataset, epochs=4, resume_state=state,
+                                 history=first, params=params)
+    assert history_to_csv(resumed) == history_to_csv(straight)
+    assert [r.epoch for r in first] == [1, 2]  # train copies the rows it is given
 
 
 def test_run_fold_writes_artifacts_and_resumes(tiny_dataset, tmp_path):
@@ -227,6 +230,51 @@ def test_run_fold_writes_artifacts_and_resumes(tiny_dataset, tmp_path):
     assert (resumed_dir / "fold0.ckpt").read_bytes() == \
         (straight_dir / "fold0.ckpt").read_bytes()
     np.testing.assert_equal(metrics_resumed, metrics_straight)
+
+
+def crash_on_epoch_two_save(path, params, m, v, t, history):
+    save_checkpoint(path, params, m, v, t, history)
+    if len(history) == 2:
+        raise KeyboardInterrupt  # the process is killed right after the save
+
+
+def fail_third_rename(real_replace):
+    calls = []
+
+    def replace(src, dst):
+        calls.append(dst)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    return replace
+
+
+@pytest.mark.parametrize("crash", ["killed-after-epoch-2-save", "rename-fails-on-epoch-3"])
+def test_interrupted_fold_resumes_to_straight_run(tiny_dataset, tmp_path, monkeypatch, crash):
+    cfg = TrainConfig(epochs=4, batch_size=2, lr=1e-2, seed=5, folds=4)
+    straight = tmp_path / "straight"
+    _, metrics_straight = run_fold(tiny_dataset, TINY_MODEL, cfg, 0, straight)
+
+    crashed = tmp_path / "crashed"
+    if crash == "killed-after-epoch-2-save":
+        monkeypatch.setattr(trainer, "save_checkpoint", crash_on_epoch_two_save)
+        raised = KeyboardInterrupt
+    else:
+        monkeypatch.setattr(os, "replace", fail_third_rename(os.replace))
+        raised = OSError
+    with pytest.raises(raised):
+        run_fold(tiny_dataset, TINY_MODEL, cfg, 0, crashed)
+    monkeypatch.undo()
+    # Either way the checkpoint on disk is whole and holds epochs 1 and 2.
+    _, _, t, history = load_checkpoint(crashed / "fold0.ckpt", init_model(TINY_MODEL))
+    assert [r.epoch for r in history] == [1, 2] and t == 2 * 3
+
+    _, metrics = run_fold(tiny_dataset, TINY_MODEL, cfg, 0, crashed, resume=True)
+    for name in ("fold0.ckpt", "fold0_history.csv"):
+        assert (crashed / name).read_bytes() == (straight / name).read_bytes(), name
+    np.testing.assert_equal(metrics, metrics_straight)
+    assert not (crashed / "fold0.ckpt.tmp").exists()
 
 
 def checkpoint_metrics(dataset, out_dir, cfg):
@@ -288,15 +336,13 @@ def test_run_fold_loads_each_video_once(tiny_dataset, tmp_path, monkeypatch, cas
 
 
 def test_checkpoint_roundtrip_preserves_predictions(tiny_dataset, tmp_path):
-    params, state, _ = run_training(tiny_dataset, epochs=2)
-    from sdscreen.model import save_checkpoint
-
+    params, state, rows = run_training(tiny_dataset, epochs=2)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, params, state.m, state.v, state.t, 2)
+    save_checkpoint(path, params, state.m, state.v, state.t, rows)
 
     fresh = init_model(TINY_MODEL)
-    m, v, t, done = load_checkpoint(path, fresh)
-    assert t == state.t and done == 2
+    m, v, t, history = load_checkpoint(path, fresh)
+    assert t == state.t and history == rows
     subjects = tiny_dataset.subjects[:3]
     videos = load_videos(tiny_dataset, subjects, needs_video=True)
     assert np.array_equal(evaluate_probs(params, subjects, videos),
