@@ -39,10 +39,10 @@ from .numerics import (
     add,
     add_scalar,
     div,
-    dump_container,
     load_container,
     log,
     mul_scalar,
+    write_container,
 )
 from .ras import RasConfig, RasParams, encode_question, init_ras
 
@@ -234,7 +234,8 @@ def save_checkpoint(path: Path | str, params: ModelParams,
     entries["meta.history"] = np.array([astuple(r) for r in history], np.float64).reshape(-1, 4)
     entries["meta.model"] = _model_vector(params.config)
     tmp = Path(f"{path}.tmp")
-    tmp.write_bytes(dump_container(entries))
+    with open(tmp, "wb") as f:
+        write_container(f, entries)
     os.replace(tmp, path)
 
 

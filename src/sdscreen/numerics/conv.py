@@ -1,13 +1,21 @@
 """3-D convolution and max pooling over (H, W, T, C) volumes.
 
-Forward uses an im2col layout: a read-only strided window view of the
-zero-padded input (the input itself when there is no padding), copied into a
-patch matrix for one GEMM. Forwards compute only their values. Backward
-recomputes what it needs from the stored inputs instead of keeping it on the
-tape: the convolution rebuilds the patch matrix from the padded input, and the
-pooling recomputes each window's first-max position from its input. That
-trades a little recompute in backward for a smaller tape and cheaper untaped
-passes.
+The convolution unfolds the zero-padded input (the input itself when there is
+no padding) over the W and T kernel axes only, into one row matrix of shape
+(PH*OW*OT, kw*kt*Cin): row (h, ow, ot) holds the kw x kt x Cin window at
+padded row h. Output row block ``dh`` reads padded rows dh .. dh+OH-1, which
+are the contiguous row slice [dh*n, (dh+OH)*n) with n = OW*OT, so forward is
+a sum of ``kh`` 2-D GEMMs over views of one matrix about a kh-th the size of
+a full im2col patch matrix (Cho & Brand, *Memory-efficient Convolution for
+Deep Neural Network*, ICML 2017).
+
+Forwards compute only their values. Backward recomputes what it needs from the
+stored inputs instead of keeping it on the tape: the convolution rebuilds the
+row matrix from the padded input for the kernel gradient, and accumulates the
+input gradient into a matrix of the same layout that it folds back onto the
+padded grid with kw*kt slice-adds; the pooling recomputes each window's
+first-max position from its input. That trades a little recompute in backward
+for a smaller tape and cheaper untaped passes.
 """
 
 from __future__ import annotations
@@ -24,16 +32,16 @@ def _conv_out_extent(extent: int, kernel: int, pad: int) -> int:
     return extent + 2 * pad - kernel + 1
 
 
-def _patches(padded: np.ndarray, kh: int, kw: int, kt: int) -> np.ndarray:
-    """Return (OH, OW, OT, kh*kw*kt*Cin) patch matrix from a padded volume."""
+def _rows(padded: np.ndarray, kw: int, kt: int) -> np.ndarray:
+    """Return the (PH*OW*OT, kw*kt*Cin) row matrix of a padded volume."""
     ph, pw, pt, cin = padded.shape
-    oh, ow, ot = ph - kh + 1, pw - kw + 1, pt - kt + 1
+    ow, ot = pw - kw + 1, pt - kt + 1
     sh, sw, st, sc = padded.strides
-    # windows: (OH, OW, OT, kh, kw, kt, Cin), Cin last to match the kernel layout
+    # windows: (PH, OW, OT, kw, kt, Cin), Cin last to match the kernel layout
     windows = np.lib.stride_tricks.as_strided(
-        padded, shape=(oh, ow, ot, kh, kw, kt, cin),
-        strides=(sh, sw, st, sh, sw, st, sc), writeable=False)
-    return windows.reshape(oh, ow, ot, kh * kw * kt * cin)
+        padded, shape=(ph, ow, ot, kw, kt, cin),
+        strides=(sh, sw, st, sw, st, sc), writeable=False)
+    return windows.reshape(ph * ow * ot, kw * kt * cin)
 
 
 def _pad(x: np.ndarray, spatial_pad: int, temporal_pad: int) -> np.ndarray:
@@ -77,30 +85,43 @@ def conv3d(x: Tensor, kernels: Tensor, bias: Tensor,
         )
 
     padded = _pad(x.data, spatial_pad, temporal_pad)
-    cols = _patches(padded, kh, kw, kt)              # (OH, OW, OT, K)
-    kmat = kernels.data.reshape(cout, -1)            # (Cout, K), same patch order
-    data = cols @ kmat.T
+    n = ow * ot
+    m = oh * n
+    kmats = kernels.data.reshape(cout, kh, -1).transpose(1, 2, 0)  # (kh, kw*kt*Cin, Cout) view
+    rows = _rows(padded, kw, kt)
+    data = rows[:m] @ kmats[0]                       # (OH*OW*OT, Cout)
+    for dh in range(1, kh):
+        data += rows[dh * n:dh * n + m] @ kmats[dh]
     data += bias.data
+    data = data.reshape(oh, ow, ot, cout)
 
     x_req, k_req, b_req = x.requires_grad, kernels.requires_grad, bias.requires_grad
 
     def bwd(g: np.ndarray) -> None:
-        gmat = g.reshape(-1, cout)                   # (OH*OW*OT, Cout)
-        if k_req or x_req:
-            if k_req:
-                cols_again = _patches(padded, kh, kw, kt).reshape(-1, kh * kw * kt * cin)
-                kernels.accumulate_grad((gmat.T @ cols_again).reshape(kernels.shape))
-            if x_req:
-                # Scatter each kernel offset's contribution back onto the padded grid.
-                gpad = np.zeros_like(padded)
-                gfull = g @ kmat                      # (OH, OW, OT, K)
-                gfull = gfull.reshape(oh, ow, ot, kh, kw, kt, cin)
-                for dh in range(kh):
-                    for dw in range(kw):
-                        for dt in range(kt):
-                            gpad[dh:dh + oh, dw:dw + ow, dt:dt + ot, :] += gfull[:, :, :, dh, dw, dt, :]
-                sp, tp = spatial_pad, temporal_pad
-                x.accumulate_grad(gpad[sp:sp + h, sp:sp + w, tp:tp + t, :])
+        gmat = g.reshape(m, cout)
+        if k_req:
+            rows_again = _rows(padded, kw, kt)
+            gk = np.empty((cout, kh, kw * kt * cin))
+            for dh in range(kh):
+                gk[:, dh] = gmat.T @ rows_again[dh * n:dh * n + m]
+            del rows_again
+            kernels.accumulate_grad(gk.reshape(kernels.shape))
+        if x_req:
+            # Gather each row block's gradient into the row layout, then fold
+            # every (dw, dt) window offset back onto the padded grid.
+            ph = padded.shape[0]
+            grows = np.empty((ph * n, kw * kt * cin))
+            np.matmul(gmat, kmats[0].T, out=grows[:m])
+            grows[m:] = 0.0
+            for dh in range(1, kh):
+                grows[dh * n:dh * n + m] += gmat @ kmats[dh].T
+            grows = grows.reshape(ph, ow, ot, kw, kt, cin)
+            gpad = np.zeros_like(padded)
+            for dw in range(kw):
+                for dt in range(kt):
+                    gpad[:, dw:dw + ow, dt:dt + ot, :] += grows[:, :, :, dw, dt, :]
+            sp, tp = spatial_pad, temporal_pad
+            x.accumulate_grad(gpad[sp:sp + h, sp:sp + w, tp:tp + t, :])
         if b_req:
             bias.accumulate_grad(gmat.sum(axis=0))
 

@@ -12,8 +12,10 @@ Round-tripping is exact: float64 payloads are written bit for bit.
 
 from __future__ import annotations
 
+import io
 import math
 import struct
+from typing import BinaryIO
 
 import numpy as np
 
@@ -23,6 +25,7 @@ __all__ = [
     "dump_array",
     "load_array",
     "dump_container",
+    "write_container",
     "load_container",
     "SNAPSHOT_VERSION",
 ]
@@ -32,15 +35,20 @@ CONTAINER_MAGIC = b"RASC"
 SNAPSHOT_VERSION = 1
 
 
-def dump_array(arr: np.ndarray) -> bytes:
-    arr = np.asarray(arr, dtype=np.float64)
+def _write_array(f: BinaryIO, arr: np.ndarray) -> None:
+    """Write one snapshot: its header, then the array's own buffer, uncopied
+    when it is already C-contiguous little-endian float64."""
+    arr = np.asarray(arr, dtype="<f8")
     if arr.ndim and not arr.flags["C_CONTIGUOUS"]:
         arr = np.ascontiguousarray(arr)  # keeps 0-d inputs 0-d
-    parts = [SNAPSHOT_MAGIC, struct.pack("<HH", SNAPSHOT_VERSION, arr.ndim)]
-    for extent in arr.shape:
-        parts.append(struct.pack("<Q", extent))
-    parts.append(arr.astype("<f8").tobytes(order="C"))
-    return b"".join(parts)
+    f.write(SNAPSHOT_MAGIC + struct.pack(f"<HH{arr.ndim}Q", SNAPSHOT_VERSION, arr.ndim, *arr.shape))
+    f.write(arr.data)
+
+
+def dump_array(arr: np.ndarray) -> bytes:
+    buf = io.BytesIO()
+    _write_array(buf, arr)
+    return buf.getvalue()
 
 
 class _Reader:
@@ -86,16 +94,21 @@ def load_array(blob: bytes) -> np.ndarray:
     return arr
 
 
-def dump_container(entries: dict[str, np.ndarray]) -> bytes:
-    parts = [CONTAINER_MAGIC, struct.pack("<HI", SNAPSHOT_VERSION, len(entries))]
+def write_container(f: BinaryIO, entries: dict[str, np.ndarray]) -> None:
+    """Stream a container to ``f`` entry by entry, with no copy of the whole."""
+    f.write(CONTAINER_MAGIC + struct.pack("<HI", SNAPSHOT_VERSION, len(entries)))
     for name, arr in entries.items():
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise FormatError(f"entry name too long: {name!r}")
-        parts.append(struct.pack("<H", len(encoded)))
-        parts.append(encoded)
-        parts.append(dump_array(arr))
-    return b"".join(parts)
+        f.write(struct.pack("<H", len(encoded)) + encoded)
+        _write_array(f, arr)
+
+
+def dump_container(entries: dict[str, np.ndarray]) -> bytes:
+    buf = io.BytesIO()
+    write_container(buf, entries)
+    return buf.getvalue()
 
 
 def load_container(blob: bytes) -> dict[str, np.ndarray]:

@@ -1,6 +1,8 @@
 """3-D convolution and max-pooling checked against plain loop references,
-and the encoder's conv + maxpool + ReLU stages checked bit for bit against
-an oracle of the conv + ReLU + argmax-pool stages they replace."""
+the convolution checked against the earlier full-im2col convolution at
+rounding level, and the encoder's conv + maxpool + ReLU stages checked bit
+for bit against an oracle of the conv + ReLU + argmax-pool stages they
+replace."""
 
 import itertools
 
@@ -68,6 +70,41 @@ def test_conv3d_matches_loop_reference(seed):
                  spatial_pad=sp, temporal_pad=tp).data
     want = conv3d_loops(x, k, b, sp, tp)
     assert np.allclose(got, want, atol=1e-12)
+
+
+KERNEL_EXTENTS = [(1, 1, 5), (5, 5, 3), (2, 3, 1)]
+PADS = [(0, 0), (1, 1)]
+
+
+def extent_case(extents, pads):
+    r = np.random.default_rng(sum(extents) + 10 * sum(pads))
+    x = r.normal(size=(6, 7, 5, 2))
+    k = r.normal(size=(3, *extents, 2)) * 0.2
+    b = r.normal(size=3) * 0.2
+    return r, x, k, b
+
+
+@pytest.mark.parametrize("pads", PADS)
+@pytest.mark.parametrize("extents", KERNEL_EXTENTS)
+def test_conv3d_kernel_extents_match_loop_reference(extents, pads):
+    _, x, k, b = extent_case(extents, pads)
+    got = conv3d(Tensor(x), Tensor(k), Tensor(b), *pads).data
+    assert np.allclose(got, conv3d_loops(x, k, b, *pads), atol=1e-12)
+
+
+@pytest.mark.parametrize("pads", PADS)
+@pytest.mark.parametrize("extents", KERNEL_EXTENTS)
+def test_conv3d_kernel_extents_gradcheck(extents, pads):
+    r, x, k, b = extent_case(extents, pads)
+    x, k, b = (Tensor(a, requires_grad=True) for a in (x, k, b))
+    out_size = conv3d(x, k, b, *pads).size
+    probe = Tensor(r.normal(size=out_size))
+
+    def fn():
+        out = conv3d(x, k, b, *pads)
+        return dot(reshape(out, (out.size,)), probe)
+
+    assert gradcheck(fn, [x, k, b]) < 1e-4
 
 
 def test_conv3d_output_shape_padding_same_time():
@@ -145,9 +182,9 @@ def test_maxpool3d_gradcheck():
 
 
 # ---------------------------------------------------------------------------
-# Oracles of the earlier forward: conv3d through np.pad and
-# sliding_window_view, a ReLU that stores its mask, and a max pool that takes
-# its values through the first-max argmax.
+# Oracles of the earlier code: conv3d as one GEMM over a full im2col patch
+# matrix built through np.pad and sliding_window_view, a ReLU that stores its
+# mask, and a max pool that takes its values through the first-max argmax.
 
 
 def conv3d_padded(x, kernels, bias, sp, tp):
@@ -215,7 +252,7 @@ def new_stage(x, k, b, window):
 
 
 def old_stage(x, k, b, window):
-    return maxpool_argmax(relu_masked(conv3d_padded(x, k, b, 0, 1)), window)
+    return maxpool_argmax(relu_masked(conv3d(x, k, b, 0, 1)), window)
 
 
 def assert_bits_equal(got, want):
@@ -267,25 +304,51 @@ def test_pool_then_relu_stage_bit_equal_to_relu_then_argmax_pool(case, window):
         assert not got.any() and not got_grads[0].any()
 
 
+def conv_case(x_shape, k_shape, pads, seed):
+    r = np.random.default_rng(seed)
+    x, k, b = r.normal(size=x_shape), r.normal(size=k_shape), r.normal(size=k_shape[0])
+    sp, tp = pads
+    out = [e + 2 * p - kk + 1 for e, p, kk in zip(x_shape[:3], (sp, sp, tp), k_shape[1:4])]
+    return x, k, b, r.normal(size=int(np.prod(out)) * k_shape[0])
+
+
 @pytest.mark.parametrize("pads", [(0, 0), (0, 1), (1, 1)])
 def test_conv3d_bit_equal_to_np_pad_reference(pads):
-    r = np.random.default_rng(sum(pads) + 20)
-    x, k, b = r.normal(size=(7, 6, 4, 3)), r.normal(size=(4, 3, 3, 3, 3)), r.normal(size=4)
-    probe = r.normal(size=7 * 6 * 6 * 4)
+    sp, tp = pads
+    x, k, b, probe = conv_case((7, 6, 4, 3), (4, 3, 3, 3, 3), pads, sum(pads) + 20)
+    padded = np.pad(x, ((sp, sp), (sp, sp), (tp, tp), (0, 0)))
+    got, got_grads = run_taped(lambda *t: conv3d(*t, *pads), [x, k, b], probe)
+    want, want_grads = run_taped(lambda *t: conv3d(*t, 0, 0), [padded, k, b], probe)
+    assert_bits_equal(got, want)
+    assert_bits_equal(got_grads[0], want_grads[0][sp:sp + 7, sp:sp + 6, tp:tp + 4])
+    for g, w in zip(got_grads[1:], want_grads[1:]):
+        assert_bits_equal(g, w)
+
+
+# The row-slice conv splits each output's K-sum into kh partial GEMMs, so it
+# may differ from the one-GEMM im2col conv in the last bits only.
+@pytest.mark.parametrize("x_shape, k_shape, pads", [
+    ((7, 6, 4, 3), (4, 3, 3, 3, 3), (0, 0)),
+    ((7, 6, 4, 3), (4, 3, 3, 3, 3), (0, 1)),
+    ((7, 6, 4, 3), (4, 3, 3, 3, 3), (1, 1)),
+    ((54, 54, 10, 16), (32, 3, 3, 3, 16), (0, 1)),  # reference stage 1
+])
+def test_conv3d_within_rounding_of_im2col_conv(x_shape, k_shape, pads):
+    x, k, b, probe = conv_case(x_shape, k_shape, pads, 40)
     got, got_grads = run_taped(lambda *t: conv3d(*t, *pads), [x, k, b], probe)
     want, want_grads = run_taped(lambda *t: conv3d_padded(*t, *pads), [x, k, b], probe)
-    assert_bits_equal(got, want)
-    for g, w in zip(got_grads, want_grads):
-        assert_bits_equal(g, w)
+    for g, w in zip([got, *got_grads], [want, *want_grads]):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
 
 
 def encode_clip_oracle(x, params):
     """The encoder in the earlier conv + ReLU + argmax-pool order."""
     n_stages = len(params.plan.stage_channels)
     for i, (k, b) in enumerate(zip(params.stage_kernels, params.stage_biases)):
-        x = maxpool_argmax(relu_masked(conv3d_padded(x, k, b, 0, 1)),
+        x = maxpool_argmax(relu_masked(conv3d(x, k, b, 0, 1)),
                            (2, 2, 2 if i == n_stages - 1 else 1))
-    x = relu_masked(conv3d_padded(x, params.final_kernel, params.final_bias, 0, 0))
+    x = relu_masked(conv3d(x, params.final_kernel, params.final_bias, 0, 0))
     x = reshape(x, (params.plan.final_channels,))
     return add(matmul(params.fc_weight, x), params.fc_bias)
 

@@ -181,6 +181,13 @@ def saved_entries(path):
     return load_container(path.read_bytes())
 
 
+def test_checkpoint_file_is_the_container_of_its_entries(tmp_path):
+    path = tmp_path / "weights.ckpt"
+    entries = saved_entries(path)
+    assert entries["adam.t"].shape == ()  # 0-d counters stay 0-d when streamed
+    assert path.read_bytes() == dump_container(entries)
+
+
 def load_edited(path, key, value):
     entries = saved_entries(path)
     if value is None:

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdscreen.errors import FormatError
-from sdscreen.numerics import dump_array, dump_container, load_array, load_container
+from sdscreen.numerics import (
+    dump_array,
+    dump_container,
+    load_array,
+    load_container,
+    write_container,
+)
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (3,), (2, 3), (2, 3, 4), (1, 2, 1, 2)])
@@ -72,6 +78,36 @@ def test_container_roundtrip_preserves_order_and_values():
     assert list(back) == list(entries)
     for name, want in entries.items():
         assert np.array_equal(back[name], want)
+
+
+def dump_container_joined(entries):
+    """The container built in memory from copied parts, as it was before streaming."""
+    parts = [b"RASC", struct.pack("<HI", 1, len(entries))]
+    for name, arr in entries.items():
+        encoded = name.encode("utf-8")
+        arr = np.asarray(arr, dtype=np.float64)
+        parts += [struct.pack("<H", len(encoded)), encoded, b"RAST",
+                  struct.pack("<HH", 1, arr.ndim), *(struct.pack("<Q", e) for e in arr.shape),
+                  arr.astype("<f8").tobytes(order="C")]
+    return b"".join(parts)
+
+
+def test_streamed_container_equals_joined_bytes(tmp_path):
+    r = np.random.default_rng(11)
+    entries = {
+        "w": r.normal(size=(3, 4)),
+        "transposed": r.normal(size=(4, 3)).T,
+        "strided": r.normal(size=(6, 5))[::2, 1:],
+        "step": np.array(3.0),
+        "ints": np.arange(5),
+        "empty": np.zeros((0, 2)),
+    }
+    path = tmp_path / "c.bin"
+    with open(path, "wb") as f:
+        write_container(f, entries)
+    blob = path.read_bytes()
+    assert blob == dump_container(entries) == dump_container_joined(entries)
+    assert load_container(blob)["step"].shape == ()
 
 
 def test_container_duplicate_names_rejected():
