@@ -2,14 +2,16 @@
 
 Configuration is a flat ``key = value`` schema with documented defaults; a
 config file (``--config``) and inline overrides (``--set key=value``) resolve
-into one dictionary. Unknown keys are rejected. Exit codes: 0 success,
-1 usage/config problems, 2 data/format problems, 3 numeric failures.
+into one dictionary, which ``train`` records in the run's ``config.txt`` for
+``eval``. Unknown keys are rejected. Exit codes: 0 success, 1 usage/config
+problems, 2 data/format problems, 3 numeric failures.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -37,29 +39,17 @@ from .trainer import (
     HistoryRow,
     TrainConfig,
     evaluate_metrics,
-    evaluate_probs,
     fold_subject_sets,
-    load_videos,
     run_fold,
+    screen_fold,
 )
 
 __all__ = ["main", "resolve_config", "DEFAULTS", "gradcheck_cases", "run_gradchecks"]
 
-DEFAULTS: dict[str, object] = {
-    # synthetic generator
-    "n_subjects": 200,
-    "fps": 25,
-    "height": 110,
-    "width": 110,
-    "disagreement_rate": 0.2,
-    "motif_strength": 0.7,
-    "time_median_s": 6.0,
-    "time_shift": 1.08,
-    "time_sigma": 0.35,
-    "time_min_s": 2.0,
-    "time_max_s": 21.0,
-    "noise_sigma": 0.02,
-    "synth_seed": 0,
+RUN_CONFIG = "config.txt"
+
+# Every model and training setting: the keys all checkpoints of one run share.
+RUN_DEFAULTS: dict[str, object] = {
     # model
     "input_hw": 110,
     "clip_len": 10,
@@ -84,11 +74,22 @@ DEFAULTS: dict[str, object] = {
     "seed": 0,
 }
 
-ABLATIONS = {
-    "wo-delta": ("use_delta", False),
-    "wo-time": ("use_time", False),
-    "fj-term": ("use_difference", False),
-    "per-block-affinity": ("per_block_affinity", True),
+DEFAULTS: dict[str, object] = {
+    # synthetic generator
+    "n_subjects": 200,
+    "fps": 25,
+    "height": 110,
+    "width": 110,
+    "disagreement_rate": 0.2,
+    "motif_strength": 0.7,
+    "time_median_s": 6.0,
+    "time_shift": 1.08,
+    "time_sigma": 0.35,
+    "time_min_s": 2.0,
+    "time_max_s": 21.0,
+    "noise_sigma": 0.02,
+    "synth_seed": 0,
+    **RUN_DEFAULTS,
 }
 
 
@@ -175,28 +176,15 @@ def synth_config_from(cfg: dict[str, object]) -> SynthConfig:
     )
 
 
-def model_config_from(cfg: dict[str, object], mode: str | None = None,
-                      ablations: list[str] | None = None) -> ModelConfig:
-    flags = {
-        "use_difference": cfg["use_difference"],
-        "use_delta": cfg["use_delta"],
-        "per_block_affinity": cfg["per_block_affinity"],
-        "use_time": cfg["use_time"],
-    }
-    for name in ablations or []:
-        if name not in ABLATIONS:
-            raise ConfigError(f"unknown ablation {name!r}; choices: {sorted(ABLATIONS)}")
-        key, value = ABLATIONS[name]
-        flags[key] = value
+def model_config_from(cfg: dict[str, object]) -> ModelConfig:
     return ModelConfig(
         input_hw=cfg["input_hw"], clip_len=cfg["clip_len"],
         base_channels=cfg["base_channels"], feature_dim=cfg["feature_dim"],
         hidden=(cfg["hidden1"], cfg["hidden2"]),
         blocks=cfg["blocks"], sigma=cfg["sigma"],
-        use_difference=flags["use_difference"], use_delta=flags["use_delta"],
-        per_block_affinity=flags["per_block_affinity"], use_time=flags["use_time"],
-        mode=mode if mode is not None else cfg["mode"],
-        init_seed=cfg["init_seed"],
+        use_difference=cfg["use_difference"], use_delta=cfg["use_delta"],
+        per_block_affinity=cfg["per_block_affinity"], use_time=cfg["use_time"],
+        mode=cfg["mode"], init_seed=cfg["init_seed"],
     )
 
 
@@ -209,10 +197,6 @@ def train_config_from(cfg: dict[str, object]) -> TrainConfig:
 
 # ---------------------------------------------------------------------------
 # commands
-
-
-def _fmt_float(x: float) -> str:
-    return "nan" if np.isnan(x) else repr(float(x))
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -244,11 +228,10 @@ def _folds_arg(value: str, k: int) -> list[int]:
     return [fold]
 
 
-def _train_fold_job(data_dir: str, out_dir: str, cfg: dict[str, object],
-                    mode: str | None, ablations: list[str], fold: int,
+def _train_fold_job(data_dir: str, out_dir: str, cfg: dict[str, object], fold: int,
                     resume: bool) -> tuple[int, list[HistoryRow], dict[str, float]]:
     dataset = load_dataset(data_dir)
-    model_cfg = model_config_from(cfg, mode, ablations)
+    model_cfg = model_config_from(cfg)
     train_cfg = train_config_from(cfg)
     rows, metrics = run_fold(dataset, model_cfg, train_cfg, fold, out_dir, resume=resume)
     return fold, rows, metrics
@@ -281,29 +264,54 @@ def _print_aggregate(per_fold: dict[int, dict[str, float]]) -> None:
             print(f"{k}: {values.mean():.4f} +/- {values.std():.4f}")
 
 
+def _read_run_config(run_dir: Path) -> dict[str, object]:
+    path = run_dir / RUN_CONFIG
+    if not path.is_file():
+        raise FormatError(f"run settings missing: {path}; write them with "
+                          "'sdscreen train --print-config <the training flags>'")
+    return resolve_config(str(path))
+
+
+def _write_run_config(out_dir: Path, cfg: dict[str, object], resume: bool) -> None:
+    """Write the run's settings to ``config.txt`` atomically. One run has one config:
+    another value of a model or training key but ``epochs`` is refused."""
+    path = out_dir / RUN_CONFIG
+    if resume or path.is_file():
+        stored = _read_run_config(out_dir)
+        differ = [k for k in RUN_DEFAULTS if k != "epochs" and stored[k] != cfg[k]]
+        if differ:
+            raise ConfigError(f"{path} was written with other settings: "
+                              f"{', '.join(differ)} differ; train into a new --out")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    tmp = out_dir / f"{RUN_CONFIG}.tmp"
+    tmp.write_text(config_to_text(cfg), encoding="utf-8")
+    os.replace(tmp, path)
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = resolve_config(args.config, args.set)
     if args.print_config:
         sys.stdout.write(config_to_text(cfg))
         return 0
+    model_config_from(cfg).validate()
     train_cfg = train_config_from(cfg)
+    train_cfg.validate()
     folds = _folds_arg(args.fold, train_cfg.folds)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_run_config(out_dir, cfg, args.resume)
 
     histories: dict[int, list[HistoryRow]] = {}
     per_fold: dict[int, dict[str, float]] = {}
     if args.jobs > 1 and len(folds) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            jobs = [pool.submit(_train_fold_job, args.data, str(out_dir), cfg,
-                                args.mode, args.ablate, fold, args.resume)
-                    for fold in folds]
+            jobs = [pool.submit(_train_fold_job, args.data, str(out_dir), cfg, fold,
+                                args.resume) for fold in folds]
             for job in jobs:
                 fold, histories[fold], per_fold[fold] = job.result()
     else:
         for fold in folds:
             fold, histories[fold], per_fold[fold] = _train_fold_job(
-                args.data, str(out_dir), cfg, args.mode, args.ablate, fold, args.resume)
+                args.data, str(out_dir), cfg, fold, args.resume)
     _write_curves(out_dir, histories)
     _print_aggregate(per_fold)
     return 0
@@ -319,18 +327,14 @@ def _baseline_report(dataset: Dataset, threshold: float) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args.config, args.set)
-    if args.print_config:
-        sys.stdout.write(config_to_text(cfg))
-        return 0
-    dataset = load_dataset(args.data)
-    train_cfg = train_config_from(cfg)
     if args.baseline == "sds-sum":
-        return _baseline_report(dataset, train_cfg.threshold)
-
-    model_cfg = model_config_from(cfg, args.mode, args.ablate)
-    folds = _folds_arg(args.fold, train_cfg.folds)
+        return _baseline_report(load_dataset(args.data), TrainConfig().threshold)
     run_dir = Path(args.run)
+    cfg = _read_run_config(run_dir)
+    dataset = load_dataset(args.data)
+    model_cfg = model_config_from(cfg)
+    train_cfg = train_config_from(cfg)
+    folds = _folds_arg(args.fold, train_cfg.folds)
     out_dir = Path(args.out) if args.out else run_dir
 
     per_fold: dict[int, dict[str, float]] = {}
@@ -341,29 +345,26 @@ def cmd_eval(args: argparse.Namespace) -> int:
         load_checkpoint(run_dir / f"fold{fold}.ckpt", params)
         _, val_subjects = fold_subject_sets(dataset, train_cfg.folds,
                                             train_cfg.seed, fold)
-        videos = load_videos(dataset, val_subjects, model_cfg.mode != "mlp")
-        probs = evaluate_probs(params, val_subjects, videos)
-        labels = np.array([s.label for s in val_subjects])
-        per_fold[fold] = evaluate_metrics(probs, labels, train_cfg.threshold)
+        probs, per_fold[fold] = screen_fold(dataset, params, val_subjects,
+                                            train_cfg.threshold)
         pooled_probs.extend(probs.tolist())
-        pooled_labels.extend(labels.tolist())
+        pooled_labels.extend(s.label for s in val_subjects)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     keys = ("accuracy", "sensitivity", "specificity", "auc")
     lines = ["fold," + ",".join(keys)]
     for fold in sorted(per_fold):
-        lines.append(f"{fold}," + ",".join(_fmt_float(per_fold[fold][k]) for k in keys))
+        lines.append(f"{fold}," + ",".join(repr(float(per_fold[fold][k])) for k in keys))
     if len(per_fold) > 1:
         stacked = {k: np.array([per_fold[f][k] for f in sorted(per_fold)]) for k in keys}
-        lines.append("mean," + ",".join(_fmt_float(stacked[k].mean()) for k in keys))
-        lines.append("sd," + ",".join(_fmt_float(stacked[k].std()) for k in keys))
+        lines.append("mean," + ",".join(repr(float(stacked[k].mean())) for k in keys))
+        lines.append("sd," + ",".join(repr(float(stacked[k].std())) for k in keys))
     (out_dir / "metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     try:
         points = roc_curve(np.array(pooled_probs), np.array(pooled_labels))
         roc_lines = ["threshold,fpr,tpr"]
-        roc_lines += [f"{_fmt_float(t)},{_fmt_float(x)},{_fmt_float(y)}"
-                      for t, x, y in points]
+        roc_lines += [f"{float(t)!r},{float(x)!r},{float(y)!r}" for t, x, y in points]
         (out_dir / "roc.csv").write_text("\n".join(roc_lines) + "\n", encoding="utf-8")
         svg = line_plot_svg(
             [("model", [p[1] for p in points], [p[2] for p in points]),
@@ -528,32 +529,21 @@ def _build_parser() -> _Parser:
                          help="parallel fold processes")
     p_train.add_argument("--resume", action="store_true",
                          help="continue from existing checkpoints")
-    p_train.add_argument("--mode", choices=("full", "video", "mlp", "slf"),
-                         default=None, help="override the model mode")
-    p_train.add_argument("--ablate", action="append", default=[],
-                         choices=sorted(ABLATIONS),
-                         help="apply an ablation flag (repeatable)")
     add_config_args(p_train)
     p_train.set_defaults(fn=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate checkpoints or baselines")
     p_eval.add_argument("--data", required=True, help="dataset directory")
-    p_eval.add_argument("--run", default=None, help="directory with fold checkpoints")
+    p_eval.add_argument("--run", default=None,
+                        help="run directory: fold checkpoints and the config.txt train wrote")
     p_eval.add_argument("--out", default=None,
                         help="report directory (default: the run directory)")
     p_eval.add_argument("--fold", default="all", help="fold index or 'all'")
-    p_eval.add_argument("--mode", choices=("full", "video", "mlp", "slf"),
-                        default=None, help="override the model mode")
-    p_eval.add_argument("--ablate", action="append", default=[],
-                        choices=sorted(ABLATIONS),
-                        help="apply an ablation flag (repeatable)")
     p_eval.add_argument("--baseline", choices=("sds-sum",), default=None,
                         help="report a training-free baseline instead")
-    add_config_args(p_eval)
     p_eval.set_defaults(fn=cmd_eval)
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference gradient checks")
-    add_config_args(p_gc)
     p_gc.set_defaults(fn=cmd_gradcheck)
     return parser
 

@@ -132,14 +132,21 @@ def dump_frames(frames: np.ndarray) -> bytes:
     return header + np.ascontiguousarray(frames).tobytes(order="C")
 
 
-def load_frames(blob: bytes) -> np.ndarray:
+def _frames_header(blob: bytes, where: str = "") -> tuple[int, int, int]:
+    """(frame count, height, width) from the first 16 bytes, each at least 1;
+    errors start with ``where``."""
     if len(blob) < 4 or blob[:4] != FRAMES_MAGIC:
-        raise FormatError("bad frames file magic at offset 0")
+        raise FormatError(f"{where}bad frames file magic at offset 0")
     if len(blob) < 16:
-        raise FormatError(f"frames header truncated at offset {len(blob)}")
+        raise FormatError(f"{where}frames header truncated at offset {len(blob)}")
     n, h, w = struct.unpack("<III", blob[4:16])
     if n < 1 or h < 1 or w < 1:
-        raise FormatError("frames header declares empty extents at offset 4")
+        raise FormatError(f"{where}frames header declares empty extents at offset 4")
+    return n, h, w
+
+
+def load_frames(blob: bytes) -> np.ndarray:
+    n, h, w = _frames_header(blob)
     expected = 16 + n * h * w
     if len(blob) != expected:
         raise FormatError(
@@ -173,10 +180,6 @@ def load_question_frames(dataset: Dataset, subject: Subject, question_index: int
 # manifest
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
 def save_manifest(dataset: Dataset, path: Path | str) -> None:
     dataset.validate()
     lines = [
@@ -192,7 +195,7 @@ def save_manifest(dataset: Dataset, path: Path | str) -> None:
         lines.append(f"subject.{i}.id = {s.subject_id}")
         lines.append(f"subject.{i}.label = {s.label}")
         lines.append(f"subject.{i}.choices = {','.join(str(c) for c in s.choices)}")
-        lines.append(f"subject.{i}.times = {','.join(_format_float(t) for t in s.times)}")
+        lines.append(f"subject.{i}.times = {','.join(repr(float(t)) for t in s.times)}")
         lines.append(f"subject.{i}.frames = {','.join(s.frame_files)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -283,9 +286,7 @@ def load_dataset(root: Path | str) -> Dataset:
                 raise DataError(f"subject {s.subject_id}: frames file missing: {name}")
             with open(path, "rb") as fh:
                 header = fh.read(16)
-            if len(header) < 16 or header[:4] != FRAMES_MAGIC:
-                raise FormatError(f"{name}: bad frames file magic at offset 0")
-            n, h, w = struct.unpack("<III", header[4:16])
+            _, h, w = _frames_header(header, f"{name}: ")
             if (h, w) != (dataset.height, dataset.width):
                 raise DataError(
                     f"subject {s.subject_id}: {name} holds {h}x{w} frames, "

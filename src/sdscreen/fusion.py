@@ -73,9 +73,6 @@ class Prediction:
     out: Tensor
     p: Tensor
 
-    def classify(self, threshold: float = 0.5) -> int:
-        return 1 if self.p.item() > threshold else 0
-
 
 def init_fusion(feature_dim: int, hidden: tuple[int, int],
                 rng: np.random.Generator) -> FusionParams:

@@ -79,6 +79,11 @@ class ModelConfig:
     mode: str = "full"
     init_seed: int = 0
 
+    @property
+    def needs_video(self) -> bool:
+        """mlp mode skips the encoder and attention, so it reads no video."""
+        return self.mode != "mlp"
+
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -168,7 +173,7 @@ def subject_forward(params: ModelParams, subject: Subject,
                     video: SubjectVideo | None) -> Prediction:
     """Predict one subject. ``video`` may be None only in mlp mode."""
     mode = params.config.mode
-    if mode == "mlp":
+    if not params.config.needs_video:
         return predict_subject(_fused(params, _zero_features(params), subject,
                                       zero_scores=False), params.fusion)
     if video is None:

@@ -8,7 +8,6 @@ so identical runs produce byte-identical artifacts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,6 +44,7 @@ __all__ = [
     "load_videos",
     "evaluate_probs",
     "evaluate_metrics",
+    "screen_fold",
     "history_to_csv",
     "run_fold",
 ]
@@ -146,12 +146,9 @@ def kfold_split(subject_ids: list[str], k: int = 5, seed: int = 0) -> list[list[
 
 
 def history_to_csv(rows: list[HistoryRow]) -> str:
-    def fmt(x: float) -> str:
-        return "nan" if math.isnan(x) else repr(x)
-
     lines = ["epoch,loss,train_acc,val_acc"]
     for r in rows:
-        lines.append(f"{r.epoch},{fmt(r.loss)},{fmt(r.train_acc)},{fmt(r.val_acc)}")
+        lines.append(f"{r.epoch},{float(r.loss)!r},{float(r.train_acc)!r},{float(r.val_acc)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -190,6 +187,18 @@ def evaluate_metrics(probs: np.ndarray, labels: np.ndarray,
     return report
 
 
+def screen_fold(dataset: Dataset, params: ModelParams, subjects: list[Subject],
+                threshold: float, probs: np.ndarray | None = None
+                ) -> tuple[np.ndarray, dict[str, float]]:
+    """(probabilities, metrics) of a fold's subjects, screened with ``params``
+    unless ``probs`` already holds their probabilities."""
+    if probs is None:
+        videos = load_videos(dataset, subjects, params.config.needs_video)
+        probs = evaluate_probs(params, subjects, videos)
+    labels = np.array([s.label for s in subjects])
+    return probs, evaluate_metrics(probs, labels, threshold)
+
+
 def train(dataset: Dataset, params: ModelParams, train_subjects: list[Subject],
           val_subjects: list[Subject], cfg: TrainConfig,
           state: AdamState | None = None, history: list[HistoryRow] | None = None,
@@ -216,9 +225,8 @@ def train(dataset: Dataset, params: ModelParams, train_subjects: list[Subject],
     if len(history) >= cfg.epochs:
         return state, history, None
 
-    needs_video = params.config.mode != "mlp"
-    train_videos = load_videos(dataset, train_subjects, needs_video)
-    val_videos = load_videos(dataset, val_subjects, needs_video)
+    train_videos = load_videos(dataset, train_subjects, params.config.needs_video)
+    val_videos = load_videos(dataset, val_subjects, params.config.needs_video)
     val_labels = np.array([s.label for s in val_subjects])
 
     val_probs = None
@@ -294,10 +302,6 @@ def run_fold(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
     if train_cfg.epochs == 0 and not ckpt_path.is_file():
         save_checkpoint(ckpt_path, params, state.m, state.v, state.t, history)
 
-    if probs is None:
-        # No epoch ran, so nothing has evaluated the initial or restored weights.
-        val_videos = load_videos(dataset, val_subjects, model_cfg.mode != "mlp")
-        probs = evaluate_probs(params, val_subjects, val_videos)
-    labels = np.array([s.label for s in val_subjects])
-    metrics = evaluate_metrics(probs, labels, train_cfg.threshold)
+    # probs is None when no epoch ran: nothing has screened these weights yet.
+    _, metrics = screen_fold(dataset, params, val_subjects, train_cfg.threshold, probs)
     return history, metrics

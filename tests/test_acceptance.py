@@ -293,7 +293,7 @@ def test_end_to_end_separation(capsys, tmp_path_factory):
 
 
 def test_byte_identical_reruns(capsys, tmp_path_factory):
-    from sdscreen.cli import main
+    from sdscreen.cli import config_to_text, main, resolve_config
 
     root = tmp_path_factory.mktemp("determinism_set")
     cfg = SynthConfig(n_subjects=8, fps=1, height=12, width=12,
@@ -309,13 +309,12 @@ def test_byte_identical_reruns(capsys, tmp_path_factory):
     outputs = []
     for out in dirs:
         rows_metrics = run_fold(data, model_cfg, train_cfg, 0, out)
-        code = main(["eval", "--data", str(root), "--run", str(out),
-                     "--fold", "0", "--set", "input_hw=12", "--set", "clip_len=4",
-                     "--set", "base_channels=2", "--set", "feature_dim=4",
-                     "--set", "hidden1=8", "--set", "hidden2=4",
-                     "--set", "blocks=1", "--set", "sigma=4.0",
-                     "--set", "init_seed=5", "--set", "seed=6",
-                     "--set", "folds=4"])
+        # run_fold writes no config.txt; these are the settings it trained with.
+        (out / "config.txt").write_text(config_to_text(resolve_config(None, [
+            "input_hw=12", "clip_len=4", "base_channels=2", "feature_dim=4",
+            "hidden1=8", "hidden2=4", "blocks=1", "sigma=4.0", "init_seed=5",
+            "seed=6", "folds=4"])))
+        code = main(["eval", "--data", str(root), "--run", str(out), "--fold", "0"])
         assert code == 0
         outputs.append((
             (out / "fold0.ckpt").read_bytes(),

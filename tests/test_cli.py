@@ -162,7 +162,7 @@ def test_train_writes_artifacts(run_dir, capsys):
 def test_train_single_fold_and_ablation(config_file, data_dir, tmp_path, capsys):
     code = main(["train", "--data", data_dir, "--out", str(tmp_path / "ab"),
                  "--config", config_file, "--fold", "0",
-                 "--ablate", "wo-time", "--ablate", "wo-delta"])
+                 "--set", "use_time=false", "--set", "use_delta=false"])
     assert code == 0
     out = capsys.readouterr().out
     assert "fold 0:" in out
@@ -192,22 +192,20 @@ def test_missing_dataset_exits_two(config_file, tmp_path):
                  "--out", str(tmp_path / "o"), "--config", config_file]) == 2
 
 
-def test_corrupt_manifest_exits_two(config_file, data_dir, tmp_path):
+def test_corrupt_manifest_exits_two(data_dir, tmp_path):
     broken = tmp_path / "broken"
     shutil.copytree(data_dir, broken)
     manifest = broken / "manifest.txt"
     manifest.write_text(manifest.read_text() + "mystery=1\n")
-    assert main(["eval", "--data", str(broken), "--baseline", "sds-sum",
-                 "--config", config_file]) == 2
+    assert main(["eval", "--data", str(broken), "--baseline", "sds-sum"]) == 2
 
 
-def test_non_utf8_manifest_exits_two(config_file, data_dir, tmp_path, capsys):
+def test_non_utf8_manifest_exits_two(data_dir, tmp_path, capsys):
     broken = tmp_path / "broken"
     shutil.copytree(data_dir, broken)
     manifest = broken / "manifest.txt"
     manifest.write_bytes(b"\xff" + manifest.read_bytes()[1:])  # the 'f' of "format"
-    assert main(["eval", "--data", str(broken), "--baseline", "sds-sum",
-                 "--config", config_file]) == 2
+    assert main(["eval", "--data", str(broken), "--baseline", "sds-sum"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "UTF-8" in err[0]
 
@@ -245,19 +243,85 @@ def test_resume_under_another_ablation_exits_one(config_file, data_dir, run_dir,
     resumed = tmp_path / "resumed"
     shutil.copytree(run_dir, resumed)
     assert main(["train", "--data", data_dir, "--out", str(resumed), "--fold", "0",
-                 "--resume", "--set", "epochs=2", "--ablate", "wo-delta",
+                 "--resume", "--set", "epochs=2", "--set", "use_delta=false",
                  "--config", config_file]) == 1
     assert "use_delta differ" in one_error_line(capsys)
     assert (resumed / "fold0.ckpt").read_bytes() == (run_dir / "fold0.ckpt").read_bytes()
 
 
-def test_eval_under_another_model_config_exits_one(config_file, data_dir, run_dir,
-                                                    tmp_path, capsys):
-    assert main(["eval", "--data", data_dir, "--run", str(run_dir),
-                 "--out", str(tmp_path / "report"), "--config", config_file,
-                 "--set", "sigma=0.01", "--set", "use_time=false"]) == 1
+def test_resume_under_another_seed_exits_one(config_file, data_dir, run_dir,
+                                             tmp_path, capsys):
+    # Another seed is another split: resuming would mix two splits in one history.
+    resumed = tmp_path / "resumed"
+    shutil.copytree(run_dir, resumed)
+    assert main(["train", "--data", data_dir, "--out", str(resumed), "--resume",
+                 "--set", "seed=7", "--set", "epochs=2", "--config", config_file]) == 1
+    assert "seed differ" in one_error_line(capsys)
+    for name in ("fold0.ckpt", "fold1.ckpt", "config.txt"):
+        assert (resumed / name).read_bytes() == (run_dir / name).read_bytes()
+
+
+def test_train_other_fold_under_another_sigma_exits_one(config_file, data_dir,
+                                                        tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--data", data_dir, "--out", str(out), "--fold", "0",
+                 "--config", config_file]) == 0
+    capsys.readouterr()
+    assert main(["train", "--data", data_dir, "--out", str(out), "--fold", "1",
+                 "--config", config_file, "--set", "sigma=5.0"]) == 1
+    assert "sigma differ" in one_error_line(capsys)
+    assert not (out / "fold1.ckpt").exists()
+
+
+def test_eval_reproduces_train_metrics(config_file, data_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--data", data_dir, "--out", str(out),
+                 "--config", config_file, "--set", "seed=3", "--set", "sigma=2.0"]) == 0
+    trained = capsys.readouterr().out
+    assert main(["eval", "--data", data_dir, "--run", str(out)]) == 0
+    assert capsys.readouterr().out == trained
+
+
+def test_print_config_equals_run_config(config_file, data_dir, run_dir, capsys):
+    assert main(["train", "--data", data_dir, "--out", "unused",
+                 "--config", config_file, "--print-config"]) == 0
+    assert capsys.readouterr().out == (run_dir / "config.txt").read_text()
+
+
+def test_eval_under_another_model_config_exits_one(data_dir, run_dir, tmp_path, capsys):
+    edited = tmp_path / "edited"
+    shutil.copytree(run_dir, edited)
+    config = edited / "config.txt"
+    text = config.read_text()
+    assert "sigma = 4.0\n" in text and "use_time = true\n" in text
+    config.write_text(text.replace("sigma = 4.0\n", "sigma = 0.01\n")
+                      .replace("use_time = true\n", "use_time = false\n"))
+    assert main(["eval", "--data", data_dir, "--run", str(edited),
+                 "--out", str(tmp_path / "report")]) == 1
     assert "sigma, use_time differ" in one_error_line(capsys)
     assert not (tmp_path / "report").exists()
+
+
+def test_eval_without_run_config_exits_two(data_dir, run_dir, tmp_path, capsys):
+    bare = tmp_path / "bare"
+    shutil.copytree(run_dir, bare)
+    (bare / "config.txt").unlink()
+    assert main(["eval", "--data", data_dir, "--run", str(bare)]) == 2
+    assert "config.txt" in one_error_line(capsys)
+    assert not (bare / "metrics.csv").exists()
+
+
+def test_resume_without_run_config_exits_two(config_file, data_dir, run_dir,
+                                             tmp_path, capsys):
+    # Written from the flags, it could contradict the checkpoints it resumes.
+    bare = tmp_path / "bare"
+    shutil.copytree(run_dir, bare)
+    (bare / "config.txt").unlink()
+    assert main(["train", "--data", data_dir, "--out", str(bare), "--resume",
+                 "--set", "epochs=2", "--config", config_file]) == 2
+    assert "config.txt" in one_error_line(capsys)
+    assert not (bare / "config.txt").exists()
+    assert (bare / "fold0.ckpt").read_bytes() == (run_dir / "fold0.ckpt").read_bytes()
 
 
 def test_numeric_failure_exits_three(monkeypatch, tmp_path):
@@ -270,22 +334,21 @@ def test_numeric_failure_exits_three(monkeypatch, tmp_path):
     assert cli.main(["synth", "--out", str(tmp_path)]) == 3
 
 
-def test_eval_baseline_report(config_file, data_dir, capsys):
-    assert main(["eval", "--data", data_dir, "--baseline", "sds-sum",
-                 "--config", config_file]) == 0
+def test_eval_baseline_report(data_dir, capsys):
+    assert main(["eval", "--data", data_dir, "--baseline", "sds-sum"]) == 0
     out = capsys.readouterr().out
     assert "questionnaire-sum baseline" in out
     assert "accuracy: 0.7500" in out  # 8 subjects, 2 disagreements
 
 
-def test_eval_requires_run_or_baseline(config_file, data_dir):
-    assert main(["eval", "--data", data_dir, "--config", config_file]) == 1
+def test_eval_requires_run_or_baseline(data_dir):
+    assert main(["eval", "--data", data_dir]) == 1
 
 
-def test_eval_writes_reports(config_file, data_dir, run_dir, tmp_path, capsys):
+def test_eval_writes_reports(data_dir, run_dir, tmp_path, capsys):
     report = tmp_path / "report"
     code = main(["eval", "--data", data_dir, "--run", str(run_dir),
-                 "--out", str(report), "--config", config_file])
+                 "--out", str(report)])
     assert code == 0
     metrics = (report / "metrics.csv").read_text().splitlines()
     assert metrics[0] == "fold,accuracy,sensitivity,specificity,auc"
@@ -297,9 +360,24 @@ def test_eval_writes_reports(config_file, data_dir, run_dir, tmp_path, capsys):
     assert "accuracy" in capsys.readouterr().out
 
 
-def test_eval_missing_checkpoint_exits_two(config_file, data_dir, tmp_path):
-    assert main(["eval", "--data", data_dir, "--run", str(tmp_path / "empty"),
-                 "--config", config_file]) == 2
+def test_eval_missing_checkpoint_exits_two(data_dir, run_dir, tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    shutil.copy(run_dir / "config.txt", empty)
+    assert main(["eval", "--data", data_dir, "--run", str(empty)]) == 2
+    assert "checkpoint missing" in one_error_line(capsys)
+
+
+def test_gradcheck_takes_no_settings_flags(monkeypatch, capsys):
+    from sdscreen import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("a gradient check ran")
+
+    monkeypatch.setattr(cli, "run_gradchecks", never)
+    for flags in (["--set", "x=1"], ["--print-config"], ["--config", "any.cfg"]):
+        assert main(["gradcheck", *flags]) == 1
+        assert "unrecognized arguments" in one_error_line(capsys)
 
 
 def test_gradcheck_case_names():

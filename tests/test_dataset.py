@@ -1,10 +1,13 @@
 """Dataset model: manifest text format, frame files, validation, sum rule."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdscreen.cli import main
 from sdscreen.dataset import (
     Dataset,
     Subject,
@@ -247,6 +250,20 @@ def test_load_dataset_checks_frame_files(tmp_path):
     (tmp_path / d.subjects[0].frame_files[3]).unlink()
     with pytest.raises(DataError, match="missing"):
         load_dataset(tmp_path)
+
+
+def test_load_dataset_rejects_zero_frame_header(tmp_path, capsys):
+    d = make_dataset(1, root=tmp_path)
+    for name in d.subjects[0].frame_files:
+        save_frames(tmp_path / name, np.zeros((5, 8, 8), np.uint8))
+    empty = d.subjects[0].frame_files[2]
+    (tmp_path / empty).write_bytes(b"RASF" + struct.pack("<III", 0, 8, 8))
+    save_manifest(d, tmp_path / "manifest.txt")
+    with pytest.raises(FormatError, match=f"{empty}: .*empty extents"):
+        load_dataset(tmp_path)
+    assert main(["eval", "--data", str(tmp_path), "--baseline", "sds-sum"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and empty in err[0]
 
 
 def test_load_dataset_rejects_wrong_frame_geometry(tmp_path):

@@ -86,16 +86,6 @@ def test_zero_parameters_give_even_odds():
     pred = predict_subject(question_vectors(4, np.random.default_rng(5)), params)
     assert pred.out.item() == 0.0
     assert pred.p.item() == 0.5
-    assert pred.classify() == 0  # boundary goes to the negative class
-
-
-def test_classification_threshold_is_strict():
-    out = Tensor(np.array(0.0))
-    from sdscreen.fusion import Prediction
-
-    pred = Prediction(out=out, p=Tensor(np.array(0.6)))
-    assert pred.classify(0.6) == 0
-    assert pred.classify(0.59) == 1
 
 
 def test_head_matches_manual_forward():
