@@ -1,9 +1,10 @@
 """Command-line interface: synthesize data, train, evaluate, gradient-check.
 
-Configuration is a flat ``key = value`` schema with documented defaults; a
-config file (``--config``) and inline overrides (``--set key=value``) resolve
-into one dictionary, which ``train`` records in the run's ``config.txt`` for
-``eval``. Unknown keys are rejected. Exit codes: 0 success, 1 usage/config
+Configuration is a flat ``key = value`` schema: one key per field of the
+config dataclasses, with the fields' defaults (see ``settings``). A config file
+(``--config``) and inline overrides (``--set key=value``) resolve into one
+dictionary, which ``train`` records in the run's ``config.txt`` for ``eval``.
+Unknown keys, and a key given twice in one source, are rejected. Exit codes: 0 success, 1 usage/config
 problems, 2 data/format problems, 3 numeric failures.
 """
 
@@ -34,6 +35,7 @@ from .numerics import Tensor, dot
 from .numerics.gradcheck import gradcheck
 from .plots import line_plot_svg
 from .ras import RasConfig, encode_question, init_ras
+from .settings import build, flatten
 from .synth import SynthConfig, disagreement_cells, generate
 from .trainer import (
     HistoryRow,
@@ -49,46 +51,11 @@ __all__ = ["main", "resolve_config", "DEFAULTS", "gradcheck_cases", "run_gradche
 RUN_CONFIG = "config.txt"
 
 # Every model and training setting: the keys all checkpoints of one run share.
-RUN_DEFAULTS: dict[str, object] = {
-    # model
-    "input_hw": 110,
-    "clip_len": 10,
-    "base_channels": 16,
-    "feature_dim": 128,
-    "hidden1": 1024,
-    "hidden2": 256,
-    "blocks": 5,
-    "sigma": 10.0,
-    "use_difference": True,
-    "use_delta": True,
-    "per_block_affinity": False,
-    "use_time": True,
-    "mode": "full",
-    "init_seed": 0,
-    # training
-    "epochs": 200,
-    "batch_size": 2,
-    "lr": 1e-3,
-    "threshold": 0.5,
-    "folds": 5,
-    "seed": 0,
-}
+RUN_DEFAULTS: dict[str, object] = {**flatten(ModelConfig()), **flatten(TrainConfig())}
 
+# The synth keys first; clip_len, which both synth and the model read, is a model key.
 DEFAULTS: dict[str, object] = {
-    # synthetic generator
-    "n_subjects": 200,
-    "fps": 25,
-    "height": 110,
-    "width": 110,
-    "disagreement_rate": 0.2,
-    "motif_strength": 0.7,
-    "time_median_s": 6.0,
-    "time_shift": 1.08,
-    "time_sigma": 0.35,
-    "time_min_s": 2.0,
-    "time_max_s": 21.0,
-    "noise_sigma": 0.02,
-    "synth_seed": 0,
+    **{k: v for k, v in flatten(SynthConfig()).items() if k not in RUN_DEFAULTS},
     **RUN_DEFAULTS,
 }
 
@@ -117,12 +84,17 @@ def _coerce(key: str, raw: str) -> object:
 
 def resolve_config(config_file: str | None = None,
                    overrides: list[str] | None = None) -> dict[str, object]:
+    """The defaults, then the file's keys, then the ``--set`` keys. A key may be
+    given once in the file and once among the ``--set`` flags."""
     cfg = dict(DEFAULTS)
 
-    def apply(key: str, value: str, where: str) -> None:
+    def apply(key: str, value: str, where: str, seen: set[str]) -> None:
         key = key.strip()
         if key not in DEFAULTS:
             raise ConfigError(f"unknown config key {key!r} ({where})")
+        if key in seen:
+            raise ConfigError(f"config key {key!r} given twice ({where})")
+        seen.add(key)
         cfg[key] = _coerce(key, value)
 
     if config_file is not None:
@@ -133,6 +105,7 @@ def resolve_config(config_file: str | None = None,
             text = path.read_text(encoding="utf-8")
         except UnicodeDecodeError as e:
             raise ConfigError(f"{path}: not UTF-8 text at byte {e.start}") from None
+        in_file: set[str] = set()
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -140,12 +113,13 @@ def resolve_config(config_file: str | None = None,
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, _, value = line.partition("=")
-            apply(key, value, f"{path}:{lineno}")
+            apply(key, value, f"{path}:{lineno}", in_file)
+    in_flags: set[str] = set()
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"--set needs key=value, got {item!r}")
         key, _, value = item.partition("=")
-        apply(key, value, "--set")
+        apply(key, value, "--set", in_flags)
     return cfg
 
 
@@ -164,35 +138,15 @@ def config_to_text(cfg: dict[str, object]) -> str:
 
 
 def synth_config_from(cfg: dict[str, object]) -> SynthConfig:
-    return SynthConfig(
-        n_subjects=cfg["n_subjects"], fps=cfg["fps"],
-        height=cfg["height"], width=cfg["width"],
-        disagreement_rate=cfg["disagreement_rate"],
-        motif_strength=cfg["motif_strength"],
-        time_median_s=cfg["time_median_s"], time_shift=cfg["time_shift"],
-        time_sigma=cfg["time_sigma"], time_min_s=cfg["time_min_s"],
-        time_max_s=cfg["time_max_s"], noise_sigma=cfg["noise_sigma"],
-        clip_len=cfg["clip_len"], seed=cfg["synth_seed"],
-    )
+    return build(SynthConfig, cfg)
 
 
 def model_config_from(cfg: dict[str, object]) -> ModelConfig:
-    return ModelConfig(
-        input_hw=cfg["input_hw"], clip_len=cfg["clip_len"],
-        base_channels=cfg["base_channels"], feature_dim=cfg["feature_dim"],
-        hidden=(cfg["hidden1"], cfg["hidden2"]),
-        blocks=cfg["blocks"], sigma=cfg["sigma"],
-        use_difference=cfg["use_difference"], use_delta=cfg["use_delta"],
-        per_block_affinity=cfg["per_block_affinity"], use_time=cfg["use_time"],
-        mode=cfg["mode"], init_seed=cfg["init_seed"],
-    )
+    return build(ModelConfig, cfg)
 
 
 def train_config_from(cfg: dict[str, object]) -> TrainConfig:
-    return TrainConfig(
-        epochs=cfg["epochs"], batch_size=cfg["batch_size"], lr=cfg["lr"],
-        seed=cfg["seed"], threshold=cfg["threshold"], folds=cfg["folds"],
-    )
+    return build(TrainConfig, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +288,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
     model_cfg = model_config_from(cfg)
     train_cfg = train_config_from(cfg)
+    train_cfg.validate()
     folds = _folds_arg(args.fold, train_cfg.folds)
     out_dir = Path(args.out) if args.out else run_dir
 

@@ -15,7 +15,7 @@ moments, the finished epochs' history rows and the model config it was trained w
 from __future__ import annotations
 
 import os
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,7 @@ from .numerics import (
     write_container,
 )
 from .ras import RasConfig, RasParams, encode_question, init_ras
+from .settings import flatten
 
 __all__ = [
     "MODES",
@@ -87,17 +88,13 @@ class ModelConfig:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.init_seed < 0:
+            raise ConfigError(f"init_seed must be >= 0, got {self.init_seed}")
         self.ras_config().validate()
         build_plan(self.input_hw, self.clip_len, self.base_channels, self.feature_dim)
 
     def ras_config(self) -> RasConfig:
-        return RasConfig(
-            blocks=self.blocks,
-            sigma=self.sigma,
-            use_difference=self.use_difference,
-            use_delta=self.use_delta,
-            per_block_affinity=self.per_block_affinity,
-        )
+        return RasConfig(**{f.name: getattr(self, f.name) for f in fields(RasConfig)})
 
 
 @dataclass
@@ -212,18 +209,21 @@ class HistoryRow:
     val_acc: float
 
 
+def _model_settings(c: ModelConfig) -> dict[str, object]:
+    """Every config key but init_seed, which only picks the starting weights a
+    checkpoint replaces; mode is its index in MODES."""
+    flat = flatten(c)
+    del flat["init_seed"]
+    flat["mode"] = MODES.index(c.mode)
+    return flat
+
+
 # The meta.model slots, named as the CLI config keys.
-_MODEL_KEYS = ("input_hw", "clip_len", "base_channels", "feature_dim", "hidden1", "hidden2",
-              "blocks", "sigma", "use_difference", "use_delta", "per_block_affinity",
-              "use_time", "mode")
+_MODEL_KEYS = tuple(_model_settings(ModelConfig()))
 
 
 def _model_vector(c: ModelConfig) -> np.ndarray:
-    """Every config field but init_seed, which only picks the starting weights
-    a checkpoint replaces; mode is its index in MODES."""
-    return np.array([c.input_hw, c.clip_len, c.base_channels, c.feature_dim, *c.hidden,
-                     c.blocks, c.sigma, c.use_difference, c.use_delta,
-                     c.per_block_affinity, c.use_time, MODES.index(c.mode)], dtype=np.float64)
+    return np.array(list(_model_settings(c).values()), dtype=np.float64)
 
 
 def save_checkpoint(path: Path | str, params: ModelParams,

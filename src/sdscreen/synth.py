@@ -91,6 +91,8 @@ class SynthConfig:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.clip_len < 2:
             raise ConfigError(f"clip_len must be >= 2, got {self.clip_len}")
+        if self.seed < 0:
+            raise ConfigError(f"synth_seed must be >= 0, got {self.seed}")
         return k
 
 

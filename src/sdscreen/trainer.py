@@ -105,9 +105,9 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 2
     lr: float = 1e-3
-    seed: int = 0
     threshold: float = 0.5
     folds: int = 5
+    seed: int = 0
 
     def validate(self) -> None:
         if self.epochs < 0:
@@ -120,6 +120,8 @@ class TrainConfig:
             raise ConfigError(f"threshold must lie in [0, 1], got {self.threshold}")
         if self.folds < 2:
             raise ConfigError(f"folds must be >= 2, got {self.folds}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def kfold_split(subject_ids: list[str], k: int = 5, seed: int = 0) -> list[list[str]]:

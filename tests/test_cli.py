@@ -1,7 +1,9 @@
 """Command-line behavior: config resolution, commands, artifacts, exit codes."""
 
 import dataclasses
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +12,11 @@ from sdscreen.cli import (
     DEFAULTS,
     gradcheck_cases,
     main,
+    model_config_from,
     resolve_config,
     run_gradchecks,
+    synth_config_from,
+    train_config_from,
 )
 from sdscreen.errors import ConfigError, NumericError
 from sdscreen.model import ModelConfig
@@ -45,6 +50,43 @@ epochs = 1
 batch_size = 2
 lr = 0.01
 folds = 2
+seed = 0
+"""
+
+
+DEFAULT_CONFIG_TEXT = """\
+n_subjects = 200
+fps = 25
+height = 110
+width = 110
+disagreement_rate = 0.2
+motif_strength = 0.7
+time_median_s = 6.0
+time_shift = 1.08
+time_sigma = 0.35
+time_min_s = 2.0
+time_max_s = 21.0
+noise_sigma = 0.02
+synth_seed = 0
+input_hw = 110
+clip_len = 10
+base_channels = 16
+feature_dim = 128
+hidden1 = 1024
+hidden2 = 256
+blocks = 5
+sigma = 10.0
+use_difference = true
+use_delta = true
+per_block_affinity = false
+use_time = true
+mode = full
+init_seed = 0
+epochs = 200
+batch_size = 2
+lr = 0.001
+threshold = 0.5
+folds = 5
 seed = 0
 """
 
@@ -93,6 +135,77 @@ def test_resolve_config_rejects_unknown_and_malformed(config_file):
         resolve_config("/no/such/file.cfg")
 
 
+def test_duplicate_config_key_exits_one(tmp_path, capsys):
+    path = tmp_path / "twice.cfg"
+    path.write_text("sigma = 4.0\nepochs = 2\nsigma = 0.01\n")
+    with pytest.raises(ConfigError, match="sigma"):
+        resolve_config(str(path))
+    assert main(["synth", "--out", str(tmp_path / "o"), "--config", str(path)]) == 1
+    line = one_error_line(capsys)
+    assert "'sigma'" in line and f"{path}:3" in line
+    assert main(["synth", "--out", str(tmp_path / "o"),
+                 "--set", "lr=0.1", "--set", "epochs=3", "--set", "lr=0.2"]) == 1
+    line = one_error_line(capsys)
+    assert "'lr'" in line and "--set" in line
+    assert not (tmp_path / "o").exists()
+    # A --set overriding a key the file gives is no duplicate.
+    once = tmp_path / "once.cfg"
+    once.write_text("sigma = 4.0\n")
+    assert resolve_config(str(once), ["sigma=2.0"])["sigma"] == 2.0
+
+
+@pytest.mark.parametrize("command, key", [
+    ("synth", "synth_seed"), ("train", "seed"), ("train", "init_seed")])
+def test_negative_seed_exits_one(command, key, config_file, data_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    where = ["--out", str(out)] if command == "synth" else ["--data", data_dir, "--out", str(out)]
+    assert main([command, *where, "--config", config_file, "--set", f"{key}=-1"]) == 1
+    line = one_error_line(capsys)
+    assert "seed must be >= 0" in line and "-1" in line
+    assert not out.exists()  # no dataset directory, no config.txt
+    # API callers bypass the CLI: each config's own validation refuses it.
+    for config in (SynthConfig(seed=-1), ModelConfig(init_seed=-1), TrainConfig(seed=-1)):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            config.validate()
+
+
+def test_every_config_field_is_reached_by_its_key():
+    def configs(cfg):
+        model = model_config_from(cfg)
+        return {"synth": synth_config_from(cfg), "model": model,
+                "ras": model.ras_config(), "train": train_config_from(cfg)}
+
+    base = configs(resolve_config())
+    # The keys not named after their field; every other key reaches the field
+    # of its own name in each config that has one (clip_len: synth and model).
+    renamed = {"synth_seed": {("synth", "seed")}, "seed": {("train", "seed")},
+               "hidden1": {("model", "hidden")}, "hidden2": {("model", "hidden")}}
+    reached = set()
+    for key, value in DEFAULTS.items():
+        changed = ("mlp" if key == "mode" else not value if isinstance(value, bool)
+                   else value + 1)
+        new = configs(resolve_config(None, [f"{key}={changed}"]))
+        differ = {(name, f.name) for name, config in new.items()
+                  for f in dataclasses.fields(config)
+                  if getattr(config, f.name) != getattr(base[name], f.name)}
+        expected = renamed.get(key) or {
+            (name, key) for name, config in base.items()
+            if key in {f.name for f in dataclasses.fields(config)}}
+        assert differ == expected, key
+        reached |= differ
+    assert reached == {(name, f.name) for name, config in base.items()
+                       for f in dataclasses.fields(config)}
+
+
+def test_readme_set_flags_resolve():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
+    items = [item for block in blocks for item in re.findall(r"--set\s+(\S+)", block)]
+    assert len(items) > 10
+    for item in items:
+        resolve_config(None, [item])
+
+
 def test_print_config_roundtrip(config_file, capsys):
     assert main(["synth", "--out", "unused", "--config", config_file,
                  "--print-config"]) == 0
@@ -101,6 +214,9 @@ def test_print_config_roundtrip(config_file, capsys):
     assert "lr = 0.01" in out
     lines = [ln for ln in out.splitlines() if ln]
     assert len(lines) == len(DEFAULTS)
+    # The defaults, in the order config.txt has always been written in.
+    assert main(["synth", "--out", "unused", "--print-config"]) == 0
+    assert capsys.readouterr().out == DEFAULT_CONFIG_TEXT
 
 
 def test_synth_reports_cells(data_dir, capsys, config_file, tmp_path):
@@ -299,6 +415,19 @@ def test_eval_under_another_model_config_exits_one(data_dir, run_dir, tmp_path, 
     assert main(["eval", "--data", data_dir, "--run", str(edited),
                  "--out", str(tmp_path / "report")]) == 1
     assert "sigma, use_time differ" in one_error_line(capsys)
+    assert not (tmp_path / "report").exists()
+
+
+def test_eval_under_a_negative_seed_exits_one(data_dir, run_dir, tmp_path, capsys):
+    edited = tmp_path / "edited"
+    shutil.copytree(run_dir, edited)
+    config = edited / "config.txt"
+    text = config.read_text()
+    assert "\nseed = 0\n" in text
+    config.write_text(text.replace("\nseed = 0\n", "\nseed = -1\n"))
+    assert main(["eval", "--data", data_dir, "--run", str(edited),
+                 "--out", str(tmp_path / "report")]) == 1
+    assert "seed must be >= 0" in one_error_line(capsys)
     assert not (tmp_path / "report").exists()
 
 

@@ -249,6 +249,12 @@ def test_checkpoint_without_meta_entry_is_refused(key, tmp_path):
 def test_model_vector_covers_every_field_but_init_seed():
     from sdscreen.model import _MODEL_KEYS, _model_vector
 
+    # The meta.model layout every checkpoint carries, at the default config.
+    assert _MODEL_KEYS == ("input_hw", "clip_len", "base_channels", "feature_dim",
+                           "hidden1", "hidden2", "blocks", "sigma", "use_difference",
+                           "use_delta", "per_block_affinity", "use_time", "mode")
+    assert _model_vector(ModelConfig()).tolist() == [
+        110, 10, 16, 128, 1024, 256, 5, 10.0, 1, 1, 0, 1, 0]
     base = _model_vector(CFG)
     assert len(base) == len(_MODEL_KEYS)
     for f in dataclasses.fields(ModelConfig):
