@@ -137,18 +137,6 @@ def config_to_text(cfg: dict[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def synth_config_from(cfg: dict[str, object]) -> SynthConfig:
-    return build(SynthConfig, cfg)
-
-
-def model_config_from(cfg: dict[str, object]) -> ModelConfig:
-    return build(ModelConfig, cfg)
-
-
-def train_config_from(cfg: dict[str, object]) -> TrainConfig:
-    return build(TrainConfig, cfg)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -158,8 +146,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.print_config:
         sys.stdout.write(config_to_text(cfg))
         return 0
-    synth_cfg = synth_config_from(cfg)
-    dataset = generate(synth_cfg, args.out)
+    dataset = generate(build(SynthConfig, cfg), args.out)
     dep_pos, dep_neg, norm_pos, norm_neg = disagreement_cells(dataset)
     print(f"wrote {len(dataset.subjects)} subjects to {args.out}")
     print("                 questionnaire+  questionnaire-")
@@ -185,9 +172,8 @@ def _folds_arg(value: str, k: int) -> list[int]:
 def _train_fold_job(data_dir: str, out_dir: str, cfg: dict[str, object], fold: int,
                     resume: bool) -> tuple[int, list[HistoryRow], dict[str, float]]:
     dataset = load_dataset(data_dir)
-    model_cfg = model_config_from(cfg)
-    train_cfg = train_config_from(cfg)
-    rows, metrics = run_fold(dataset, model_cfg, train_cfg, fold, out_dir, resume=resume)
+    rows, metrics = run_fold(dataset, build(ModelConfig, cfg), build(TrainConfig, cfg), fold,
+                             out_dir, resume=resume)
     return fold, rows, metrics
 
 
@@ -247,10 +233,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.print_config:
         sys.stdout.write(config_to_text(cfg))
         return 0
-    model_config_from(cfg).validate()
-    train_cfg = train_config_from(cfg)
+    build(ModelConfig, cfg).validate()
+    train_cfg = build(TrainConfig, cfg)
     train_cfg.validate()
     folds = _folds_arg(args.fold, train_cfg.folds)
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     out_dir = Path(args.out)
     _write_run_config(out_dir, cfg, args.resume)
 
@@ -286,8 +274,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     run_dir = Path(args.run)
     cfg = _read_run_config(run_dir)
     dataset = load_dataset(args.data)
-    model_cfg = model_config_from(cfg)
-    train_cfg = train_config_from(cfg)
+    model_cfg = build(ModelConfig, cfg)
+    train_cfg = build(TrainConfig, cfg)
     train_cfg.validate()
     folds = _folds_arg(args.fold, train_cfg.folds)
     out_dir = Path(args.out) if args.out else run_dir

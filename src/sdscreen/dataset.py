@@ -146,6 +146,7 @@ def _frames_header(blob: bytes, where: str = "") -> tuple[int, int, int]:
 
 
 def load_frames(blob: bytes) -> np.ndarray:
+    """(N, H, W) uint8 frames: a read-only view of ``blob``, which it keeps alive."""
     n, h, w = _frames_header(blob)
     expected = 16 + n * h * w
     if len(blob) != expected:
@@ -153,7 +154,7 @@ def load_frames(blob: bytes) -> np.ndarray:
             f"frames payload ends at offset {len(blob)}, expected {expected} "
             f"for {n} frames of {h}x{w}"
         )
-    return np.frombuffer(blob[16:], dtype=np.uint8).reshape(n, h, w).copy()
+    return np.frombuffer(blob, np.uint8, count=n * h * w, offset=16).reshape(n, h, w)
 
 
 def save_frames(path: Path | str, frames: np.ndarray) -> None:

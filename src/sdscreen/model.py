@@ -1,12 +1,13 @@
 """Whole-subject model: encoder + attention + fusion, with mode variants.
 
-Modes:
-    full   one head on [video | score | time] per question
-    video  same head with the score slots zeroed
-    mlp    same head with the video slots zeroed; the encoder and attention
-           are skipped entirely (their inputs cannot influence the output)
-    slf    two jointly trained heads, one on [video | 0 | time] and one on
-           [0 | score | time]; the subject probability is their average
+A mode is a list of fusion heads, each fed [video | score | time] per question
+with the slots it does not see zeroed (HEADS):
+    full   one head that sees video and scores
+    video  one head that sees video only
+    mlp    one head that sees scores only; no head sees video, so the encoder
+           and attention are skipped entirely
+    slf    a video-only and a score-only head, trained jointly; the subject
+           probability is the average of theirs
 
 A checkpoint is a fold's whole resumable state: every parameter, the optimizer
 moments, the finished epochs' history rows and the model config it was trained with.
@@ -61,7 +62,15 @@ __all__ = [
     "load_checkpoint",
 ]
 
-MODES = ("full", "video", "mlp", "slf")
+# What each head of a mode sees, as (video, score). meta.model stores a mode
+# as its index in MODES, so the order is fixed.
+HEADS: dict[str, tuple[tuple[bool, bool], ...]] = {
+    "full": ((True, True),),
+    "video": ((True, False),),
+    "mlp": ((False, True),),
+    "slf": ((True, False), (False, True)),
+}
+MODES = tuple(HEADS)
 
 
 @dataclass(frozen=True)
@@ -82,8 +91,8 @@ class ModelConfig:
 
     @property
     def needs_video(self) -> bool:
-        """mlp mode skips the encoder and attention, so it reads no video."""
-        return self.mode != "mlp"
+        """A mode with no head that sees video skips the encoder and attention."""
+        return any(sees_video for sees_video, _ in HEADS[self.mode])
 
     def validate(self) -> None:
         if self.mode not in MODES:
@@ -102,8 +111,7 @@ class ModelParams:
     config: ModelConfig
     encoder: EncoderParams
     ras: RasParams
-    fusion: FusionParams
-    fusion_alt: FusionParams | None = None
+    heads: list[FusionParams]
 
 
 def init_model(config: ModelConfig) -> ModelParams:
@@ -113,18 +121,16 @@ def init_model(config: ModelConfig) -> ModelParams:
                       config.feature_dim)
     encoder = init_encoder(plan, rng)
     ras = init_ras(config.feature_dim, config.ras_config(), rng)
-    fusion = init_fusion(config.feature_dim, config.hidden, rng)
-    fusion_alt = init_fusion(config.feature_dim, config.hidden, rng) if config.mode == "slf" else None
-    return ModelParams(config, encoder, ras, fusion, fusion_alt)
+    heads = [init_fusion(config.feature_dim, config.hidden, rng) for _ in HEADS[config.mode]]
+    return ModelParams(config, encoder, ras, heads)
 
 
 def named_parameters(params: ModelParams) -> list[tuple[str, Tensor]]:
     """Every learnable tensor in a fixed, stable order."""
     named = params.encoder.named_parameters()
     named += params.ras.named_parameters()
-    named += params.fusion.named_parameters("fusion")
-    if params.fusion_alt is not None:
-        named += params.fusion_alt.named_parameters("fusion2")
+    for i, head in enumerate(params.heads):
+        named += head.named_parameters(f"fusion{i + 1}" if i else "fusion")
     return named
 
 
@@ -151,47 +157,30 @@ def _question_features(params: ModelParams, video: SubjectVideo) -> list[Tensor]
     return features
 
 
-def _zero_features(params: ModelParams) -> list[Tensor]:
-    zero = Tensor(np.zeros(params.config.feature_dim))
-    return [zero] * QUESTION_COUNT
-
-
-def _fused(params: ModelParams, video_feats: list[Tensor], subject: Subject,
-           zero_scores: bool) -> list[Tensor]:
-    vectors = []
-    for q in range(QUESTION_COUNT):
-        score = np.zeros(SCORE_DIM) if zero_scores else encode_score(subject.choices[q])
-        vectors.append(fuse_question(video_feats[q], score, subject.times[q],
-                                     use_time=params.config.use_time))
-    return vectors
+def _fused(params: ModelParams, feats: list[Tensor] | None, subject: Subject,
+           sees_video: bool, sees_score: bool) -> list[Tensor]:
+    zero = None if sees_video else Tensor(np.zeros(params.config.feature_dim))
+    return [fuse_question(feats[q] if sees_video else zero,
+                          encode_score(subject.choices[q]) if sees_score else np.zeros(SCORE_DIM),
+                          subject.times[q], use_time=params.config.use_time)
+            for q in range(QUESTION_COUNT)]
 
 
 def subject_forward(params: ModelParams, subject: Subject,
                     video: SubjectVideo | None) -> Prediction:
-    """Predict one subject. ``video`` may be None only in mlp mode."""
-    mode = params.config.mode
-    if not params.config.needs_video:
-        return predict_subject(_fused(params, _zero_features(params), subject,
-                                      zero_scores=False), params.fusion)
-    if video is None:
-        raise ConfigError(f"mode {mode!r} needs video input")
-    feats = _question_features(params, video)
-    if mode == "full":
-        return predict_subject(_fused(params, feats, subject, zero_scores=False),
-                               params.fusion)
-    if mode == "video":
-        return predict_subject(_fused(params, feats, subject, zero_scores=True),
-                               params.fusion)
-    # slf: average the probabilities of a video-only and a score-only head,
-    # then recover the pre-activation scalar so downstream code sees the
-    # usual (out, p) pair.
-    if params.fusion_alt is None:
-        raise ConfigError("slf mode needs the second fusion head")
-    video_head = predict_subject(_fused(params, feats, subject, zero_scores=True),
-                                 params.fusion)
-    score_head = predict_subject(_fused(params, _zero_features(params), subject,
-                                        zero_scores=False), params.fusion_alt)
-    p = mul_scalar(add(video_head.p, score_head.p), 0.5)
+    """Predict one subject. ``video`` may be None only when no head sees video."""
+    feats = None
+    if params.config.needs_video:
+        if video is None:
+            raise ConfigError(f"mode {params.config.mode!r} needs video input")
+        feats = _question_features(params, video)
+    preds = [predict_subject(_fused(params, feats, subject, sees_video, sees_score), head)
+             for (sees_video, sees_score), head in zip(HEADS[params.config.mode], params.heads)]
+    if len(preds) == 1:
+        return preds[0]
+    # Average the heads' probabilities, then recover the pre-activation scalar
+    # so downstream code sees the usual (out, p) pair.
+    p = mul_scalar(add(preds[0].p, preds[1].p), 0.5)
     pc = clamp_prob(p)
     out = log(div(pc, add_scalar(mul_scalar(pc, -1.0), 1.0)))
     return Prediction(out=out, p=p)

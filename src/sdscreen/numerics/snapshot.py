@@ -12,7 +12,6 @@ Round-tripping is exact: float64 payloads are written bit for bit.
 
 from __future__ import annotations
 
-import io
 import math
 import struct
 from typing import BinaryIO
@@ -22,9 +21,6 @@ import numpy as np
 from ..errors import FormatError
 
 __all__ = [
-    "dump_array",
-    "load_array",
-    "dump_container",
     "write_container",
     "load_container",
     "SNAPSHOT_VERSION",
@@ -43,12 +39,6 @@ def _write_array(f: BinaryIO, arr: np.ndarray) -> None:
         arr = np.ascontiguousarray(arr)  # keeps 0-d inputs 0-d
     f.write(SNAPSHOT_MAGIC + struct.pack(f"<HH{arr.ndim}Q", SNAPSHOT_VERSION, arr.ndim, *arr.shape))
     f.write(arr.data)
-
-
-def dump_array(arr: np.ndarray) -> bytes:
-    buf = io.BytesIO()
-    _write_array(buf, arr)
-    return buf.getvalue()
 
 
 class _Reader:
@@ -86,14 +76,6 @@ def _read_array(r: _Reader) -> np.ndarray:
     return arr.astype(np.float64)  # the one copy, which also lets the blob go
 
 
-def load_array(blob: bytes) -> np.ndarray:
-    r = _Reader(blob)
-    arr = _read_array(r)
-    if r.pos != len(blob):
-        raise FormatError(f"{len(blob) - r.pos} trailing bytes after snapshot")
-    return arr
-
-
 def write_container(f: BinaryIO, entries: dict[str, np.ndarray]) -> None:
     """Stream a container to ``f`` entry by entry, with no copy of the whole."""
     f.write(CONTAINER_MAGIC + struct.pack("<HI", SNAPSHOT_VERSION, len(entries)))
@@ -103,12 +85,6 @@ def write_container(f: BinaryIO, entries: dict[str, np.ndarray]) -> None:
             raise FormatError(f"entry name too long: {name!r}")
         f.write(struct.pack("<H", len(encoded)) + encoded)
         _write_array(f, arr)
-
-
-def dump_container(entries: dict[str, np.ndarray]) -> bytes:
-    buf = io.BytesIO()
-    write_container(buf, entries)
-    return buf.getvalue()
 
 
 def load_container(blob: bytes) -> dict[str, np.ndarray]:

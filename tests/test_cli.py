@@ -12,15 +12,13 @@ from sdscreen.cli import (
     DEFAULTS,
     gradcheck_cases,
     main,
-    model_config_from,
     resolve_config,
     run_gradchecks,
-    synth_config_from,
-    train_config_from,
 )
 from sdscreen.errors import ConfigError, NumericError
 from sdscreen.model import ModelConfig
-from sdscreen.numerics import dump_container, load_container
+from sdscreen.numerics import load_container, write_container
+from sdscreen.settings import build
 from sdscreen.synth import SynthConfig
 from sdscreen.trainer import TrainConfig
 
@@ -171,9 +169,9 @@ def test_negative_seed_exits_one(command, key, config_file, data_dir, tmp_path, 
 
 def test_every_config_field_is_reached_by_its_key():
     def configs(cfg):
-        model = model_config_from(cfg)
-        return {"synth": synth_config_from(cfg), "model": model,
-                "ras": model.ras_config(), "train": train_config_from(cfg)}
+        model = build(ModelConfig, cfg)
+        return {"synth": build(SynthConfig, cfg), "model": model,
+                "ras": model.ras_config(), "train": build(TrainConfig, cfg)}
 
     base = configs(resolve_config())
     # The keys not named after their field; every other key reaches the field
@@ -303,6 +301,15 @@ def test_train_bad_fold_value(config_file, data_dir, tmp_path):
                  "--config", config_file, "--fold", "x"]) == 1
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_train_refuses_jobs_below_one(jobs, config_file, data_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["train", "--data", data_dir, "--out", str(out), "--config", config_file,
+                 "--jobs", jobs]) == 1
+    assert "--jobs" in one_error_line(capsys)
+    assert not out.exists()  # refused before config.txt is written
+
+
 def test_missing_dataset_exits_two(config_file, tmp_path):
     assert main(["train", "--data", str(tmp_path / "nope"),
                  "--out", str(tmp_path / "o"), "--config", config_file]) == 2
@@ -348,7 +355,8 @@ def test_resume_with_damaged_history_exits_two(history, config_file, data_dir,
     ckpt = resumed / "fold0.ckpt"
     entries = load_container(ckpt.read_bytes())
     entries["meta.history"] = np.array(history)
-    ckpt.write_bytes(dump_container(entries))
+    with open(ckpt, "wb") as f:
+        write_container(f, entries)
     assert main(["train", "--data", data_dir, "--out", str(resumed), "--fold", "0",
                  "--resume", "--set", "epochs=3", "--config", config_file]) == 2
     assert "meta.history" in one_error_line(capsys)

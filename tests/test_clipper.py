@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdscreen.clipper import clip_count, segment
-from sdscreen.errors import ConfigError, DataError
+from sdscreen.errors import ConfigError, ContractError, DataError
 
 
 def test_clip_count_reference_values():
@@ -54,9 +54,7 @@ def test_segment_matches_per_window_copies(n):
         assert np.ascontiguousarray(clip).tobytes() == want.tobytes()
 
 
-def test_segment_accepts_unit_floats_and_rejects_out_of_range():
-    frames = np.full((10, 2, 2), 0.5)
-    clips = segment(frames)
-    assert np.all(clips[0] == 0.5)
-    with pytest.raises(DataError):
-        segment(np.full((10, 2, 2), 1.5))
+def test_segment_refuses_float_frames():
+    # Frames files hold uint8 by format; unit floats in [0, 1] are refused too.
+    with pytest.raises(ContractError, match="uint8"):
+        segment(np.full((10, 2, 2), 0.5))

@@ -100,9 +100,13 @@ def test_dataset_validation_catches_duplicate_ids():
 def test_frames_roundtrip_bitexact():
     r = np.random.default_rng(3)
     frames = r.integers(0, 256, size=(12, 6, 7)).astype(np.uint8)
-    back = load_frames(dump_frames(frames))
+    blob = dump_frames(frames)
+    back = load_frames(blob)
     assert back.dtype == np.uint8
     assert np.array_equal(back, frames)
+    # A read-only view of the file's bytes: reading makes no copy of its own.
+    assert not back.flags.writeable
+    assert np.shares_memory(back, np.frombuffer(blob, np.uint8))
 
 
 def test_frames_bad_magic_names_offset():

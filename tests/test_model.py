@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import io
 import weakref
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from sdscreen.errors import ConfigError, FormatError
 from sdscreen.fusion import bce_loss
 from sdscreen.model import (
+    MODES,
     HistoryRow,
     ModelConfig,
     init_model,
@@ -19,7 +21,7 @@ from sdscreen.model import (
     save_checkpoint,
     subject_forward,
 )
-from sdscreen.numerics import Tape, dump_container, load_container
+from sdscreen.numerics import Tape, load_container, write_container
 from sdscreen.synth import SynthConfig, generate
 
 CFG = ModelConfig(input_hw=12, clip_len=4, base_channels=2, feature_dim=4,
@@ -52,10 +54,18 @@ def test_parameter_registry_order_and_modes():
     assert names[-1] == "fusion.b3"
     assert len(names) == len(set(names))
 
-    slf = init_model(dataclasses.replace(CFG, mode="slf"))
-    slf_names = [n for n, _ in named_parameters(slf)]
-    assert "fusion2.w1" in slf_names
-    assert slf.fusion_alt is not None
+    heads = [len(init_model(dataclasses.replace(CFG, mode=m)).heads) for m in MODES]
+    assert dict(zip(MODES, heads)) == {"full": 1, "video": 1, "mlp": 1, "slf": 2}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_mode_reads_video_and_names_second_head(mode):
+    cfg = dataclasses.replace(CFG, mode=mode)
+    assert cfg.needs_video == (mode != "mlp")
+    names = [n for n, _ in named_parameters(init_model(cfg))]
+    second = [n for n in names if n.startswith("fusion2.")]
+    assert second == ([f"fusion2.{k}" for k in ("w1", "b1", "w2", "b2", "w3", "b3")]
+                      if mode == "slf" else [])
 
 
 def test_init_is_seed_deterministic():
@@ -133,14 +143,6 @@ def test_slf_mode_averages_two_heads(data):
     assert subject_forward(params, flipped, video).p.item() != p
 
 
-def test_slf_needs_second_head(data):
-    params = init_model(dataclasses.replace(CFG, mode="slf"))
-    params.fusion_alt = None
-    with pytest.raises(ConfigError):
-        subject_forward(params, data.subjects[0],
-                        load_subject_video(data, data.subjects[0]))
-
-
 HISTORY = [HistoryRow(1, 0.75, 0.5, float("nan")), HistoryRow(2, 0.5, 0.75, 1.0),
            HistoryRow(3, 0.25, 1.0, 0.0)]
 
@@ -185,7 +187,9 @@ def test_checkpoint_file_is_the_container_of_its_entries(tmp_path):
     path = tmp_path / "weights.ckpt"
     entries = saved_entries(path)
     assert entries["adam.t"].shape == ()  # 0-d counters stay 0-d when streamed
-    assert path.read_bytes() == dump_container(entries)
+    buf = io.BytesIO()
+    write_container(buf, entries)
+    assert path.read_bytes() == buf.getvalue()
 
 
 def load_edited(path, key, value):
@@ -194,7 +198,8 @@ def load_edited(path, key, value):
         del entries[key]
     else:
         entries[key] = value
-    path.write_bytes(dump_container(entries))
+    with open(path, "wb") as f:
+        write_container(f, entries)
     return load_checkpoint(path, init_model(CFG))
 
 

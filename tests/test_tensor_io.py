@@ -1,5 +1,10 @@
-"""Binary snapshot formats: array and named-container round-trips."""
+"""Binary snapshot formats: array and named-container round-trips.
 
+A snapshot is only ever written as one entry of a container, so the array
+checks write one-entry containers and read them back.
+"""
+
+import io
 import struct
 
 import numpy as np
@@ -8,20 +13,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdscreen.errors import FormatError
-from sdscreen.numerics import (
-    dump_array,
-    dump_container,
-    load_array,
-    load_container,
-    write_container,
-)
+from sdscreen.numerics import load_container, write_container
+
+# A one-entry container named "x" holds its snapshot from this offset:
+# magic + u16 version + u32 count, then u16 name length + the name.
+SNAPSHOT_AT = 4 + 2 + 4 + 2 + 1
+
+
+def container_bytes(entries):
+    buf = io.BytesIO()
+    write_container(buf, entries)
+    return buf.getvalue()
+
+
+def snapshot_bytes(arr):
+    """A one-entry container around ``arr``: its snapshot starts at SNAPSHOT_AT."""
+    return container_bytes({"x": arr})
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (3,), (2, 3), (2, 3, 4), (1, 2, 1, 2)])
 def test_array_roundtrip_bitexact(shape):
     r = np.random.default_rng(sum(shape) + len(shape))
     x = r.normal(size=shape)
-    back = load_array(dump_array(x))
+    back = load_container(snapshot_bytes(x))["x"]
     assert back.shape == x.shape
     assert back.dtype == np.float64
     assert np.array_equal(back, x)
@@ -29,11 +43,11 @@ def test_array_roundtrip_bitexact(shape):
 
 def test_array_serialization_is_deterministic():
     x = np.random.default_rng(5).normal(size=(4, 7))
-    assert dump_array(x) == dump_array(x.copy())
+    assert snapshot_bytes(x) == snapshot_bytes(x.copy())
 
 
 def test_array_blob_layout():
-    blob = dump_array(np.array([1.0, 2.0]))
+    blob = snapshot_bytes(np.array([1.0, 2.0]))[SNAPSHOT_AT:]
     assert blob[:4] == b"RAST"
     version, rank = struct.unpack_from("<HH", blob, 4)
     assert (version, rank) == (1, 1)
@@ -43,28 +57,32 @@ def test_array_blob_layout():
 
 
 def test_array_bad_magic():
-    blob = bytearray(dump_array(np.zeros(2)))
-    blob[:4] = b"XXXX"
-    with pytest.raises(FormatError, match="magic"):
-        load_array(bytes(blob))
+    blob = bytearray(snapshot_bytes(np.zeros(2)))
+    blob[SNAPSHOT_AT:SNAPSHOT_AT + 4] = b"XXXX"
+    with pytest.raises(FormatError, match="snapshot magic"):
+        load_container(bytes(blob))
 
 
 def test_array_truncated_payload():
-    blob = dump_array(np.zeros(4))
-    with pytest.raises(FormatError):
-        load_array(blob[:-8])
+    blob = snapshot_bytes(np.zeros(4))
+    with pytest.raises(FormatError, match="truncated"):
+        load_container(blob[:-8])
 
 
 def test_array_trailing_bytes_rejected():
     with pytest.raises(FormatError, match="trailing"):
-        load_array(dump_array(np.zeros(2)) + b"\x00")
+        load_container(snapshot_bytes(np.zeros(2)) + b"\x00")
 
 
 def test_array_unsupported_version():
-    blob = bytearray(dump_array(np.zeros(2)))
+    blob = bytearray(snapshot_bytes(np.zeros(2)))
+    struct.pack_into("<H", blob, SNAPSHOT_AT + 4, 9)
+    with pytest.raises(FormatError, match="snapshot version"):
+        load_container(bytes(blob))
+    blob = bytearray(snapshot_bytes(np.zeros(2)))
     struct.pack_into("<H", blob, 4, 9)
-    with pytest.raises(FormatError, match="version"):
-        load_array(bytes(blob))
+    with pytest.raises(FormatError, match="container version"):
+        load_container(bytes(blob))
 
 
 def test_container_roundtrip_preserves_order_and_values():
@@ -74,7 +92,7 @@ def test_container_roundtrip_preserves_order_and_values():
         "beta/ùñí": r.normal(size=3),
         "gamma": np.array(4.25),
     }
-    back = load_container(dump_container(entries))
+    back = load_container(container_bytes(entries))
     assert list(back) == list(entries)
     for name, want in entries.items():
         assert np.array_equal(back[name], want)
@@ -106,14 +124,14 @@ def test_streamed_container_equals_joined_bytes(tmp_path):
     with open(path, "wb") as f:
         write_container(f, entries)
     blob = path.read_bytes()
-    assert blob == dump_container(entries) == dump_container_joined(entries)
+    assert blob == container_bytes(entries) == dump_container_joined(entries)
     assert load_container(blob)["step"].shape == ()
 
 
 def test_container_duplicate_names_rejected():
     # Dicts cannot hold duplicates, so splice a second copy of the single
     # entry into the blob by hand.
-    blob = dump_container({"w": np.zeros(1)})
+    blob = container_bytes({"w": np.zeros(1)})
     entry = blob[10:]  # header is magic + u16 version + u32 count
     doubled = blob[:6] + struct.pack("<I", 2) + entry + entry
     with pytest.raises(FormatError, match="duplicate"):
@@ -122,21 +140,21 @@ def test_container_duplicate_names_rejected():
 
 def test_container_bad_magic():
     with pytest.raises(FormatError, match="magic"):
-        load_container(b"ZZZZ" + dump_container({"a": np.zeros(1)})[4:])
+        load_container(b"ZZZZ" + container_bytes({"a": np.zeros(1)})[4:])
 
 
 def test_container_truncated():
-    blob = dump_container({"a": np.zeros(3)})
+    blob = container_bytes({"a": np.zeros(3)})
     with pytest.raises(FormatError):
         load_container(blob[:-4])
 
 
 def test_empty_container_roundtrip():
-    assert load_container(dump_container({})) == {}
+    assert load_container(container_bytes({})) == {}
 
 
 def test_container_non_utf8_name_rejected():
-    blob = bytearray(dump_container({"w": np.zeros(2)}))
+    blob = bytearray(container_bytes({"w": np.zeros(2)}))
     blob[12] ^= 0xFF  # the name byte: 0x88 is no UTF-8 start byte
     with pytest.raises(FormatError, match="UTF-8"):
         load_container(bytes(blob))
@@ -144,12 +162,13 @@ def test_container_non_utf8_name_rejected():
 
 @pytest.mark.parametrize("shape", [(2**62, 8), (2**64 - 1, 2**64 - 1), (0, 2**63), (1,) * 65])
 def test_array_hostile_extents_rejected(shape):
-    blob = b"RAST" + struct.pack("<HH", 1, len(shape)) + struct.pack(f"<{len(shape)}Q", *shape)
+    snapshot = b"RAST" + struct.pack("<HH", 1, len(shape)) + struct.pack(f"<{len(shape)}Q", *shape)
+    blob = snapshot_bytes(np.zeros(0))[:SNAPSHOT_AT] + snapshot
     with pytest.raises(FormatError):
-        load_array(blob + bytes(64))
+        load_container(blob + bytes(64))
 
 
-SAMPLE_CONTAINER = dump_container({
+SAMPLE_CONTAINER = container_bytes({
     "enc.conv0.kernel": np.arange(6.0).reshape(1, 2, 3),
     "bias": np.array([0.5, -1.0]),
     "step": np.array(3.0),
