@@ -42,6 +42,7 @@ from .trainer import (
     TrainConfig,
     evaluate_metrics,
     fold_subject_sets,
+    kfold_split,
     run_fold,
     screen_fold,
 )
@@ -169,14 +170,6 @@ def _folds_arg(value: str, k: int) -> list[int]:
     return [fold]
 
 
-def _train_fold_job(data_dir: str, out_dir: str, cfg: dict[str, object], fold: int,
-                    resume: bool) -> tuple[int, list[HistoryRow], dict[str, float]]:
-    dataset = load_dataset(data_dir)
-    rows, metrics = run_fold(dataset, build(ModelConfig, cfg), build(TrainConfig, cfg), fold,
-                             out_dir, resume=resume)
-    return fold, rows, metrics
-
-
 def _write_curves(out_dir: Path, histories: dict[int, list[HistoryRow]]) -> None:
     series = []
     for fold, rows in histories.items():
@@ -233,29 +226,30 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.print_config:
         sys.stdout.write(config_to_text(cfg))
         return 0
-    build(ModelConfig, cfg).validate()
+    model_cfg = build(ModelConfig, cfg)
     train_cfg = build(TrainConfig, cfg)
-    train_cfg.validate()
     folds = _folds_arg(args.fold, train_cfg.folds)
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    # Everything the run needs is checked before config.txt claims the directory.
+    dataset = load_dataset(args.data)
+    hw = (dataset.height, dataset.width)
+    if model_cfg.needs_video and hw != (model_cfg.input_hw,) * 2:
+        raise ConfigError(f"{args.data} holds {hw[0]}x{hw[1]} frames, "
+                          f"input_hw is {model_cfg.input_hw}")
+    kfold_split([s.subject_id for s in dataset.subjects], train_cfg.folds, train_cfg.seed)
     out_dir = Path(args.out)
     _write_run_config(out_dir, cfg, args.resume)
 
-    histories: dict[int, list[HistoryRow]] = {}
-    per_fold: dict[int, dict[str, float]] = {}
+    fold_args = [(dataset, model_cfg, train_cfg, fold, out_dir, args.resume) for fold in folds]
     if args.jobs > 1 and len(folds) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            jobs = [pool.submit(_train_fold_job, args.data, str(out_dir), cfg, fold,
-                                args.resume) for fold in folds]
-            for job in jobs:
-                fold, histories[fold], per_fold[fold] = job.result()
+            jobs = [pool.submit(run_fold, *a) for a in fold_args]
+            results = [job.result() for job in jobs]
     else:
-        for fold in folds:
-            fold, histories[fold], per_fold[fold] = _train_fold_job(
-                args.data, str(out_dir), cfg, fold, args.resume)
-    _write_curves(out_dir, histories)
-    _print_aggregate(per_fold)
+        results = [run_fold(*a) for a in fold_args]
+    _write_curves(out_dir, {fold: rows for fold, (rows, _) in zip(folds, results)})
+    _print_aggregate({fold: metrics for fold, (_, metrics) in zip(folds, results)})
     return 0
 
 
@@ -276,7 +270,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
     model_cfg = build(ModelConfig, cfg)
     train_cfg = build(TrainConfig, cfg)
-    train_cfg.validate()
     folds = _folds_arg(args.fold, train_cfg.folds)
     out_dir = Path(args.out) if args.out else run_dir
 

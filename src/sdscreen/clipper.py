@@ -33,11 +33,11 @@ def clip_count(n_frames: int, clip_len: int = 10) -> int:
 
 
 def segment(frames: np.ndarray, clip_len: int = 10) -> np.ndarray:
-    """Cut (N, H, W) uint8 frames into a read-only (M, H, W, clip_len) float64
-    view scaled by 1/255 into [0,1]; clip k starts at frame k * clip_len/2."""
+    """Cut (N, H, W) uint8 frames into a read-only (M, H, W, clip_len) uint8
+    view; clip k starts at frame k * clip_len/2."""
     stride = _check_clip_len(clip_len)
     if frames.ndim != 3 or frames.dtype != np.uint8:
         raise ContractError(f"segment expects (N, H, W) uint8 frames, "
                             f"got {frames.dtype} of shape {frames.shape}")
     clip_count(frames.shape[0], clip_len)  # DataError when shorter than one clip
-    return sliding_window_view(frames.astype(np.float64) / 255.0, clip_len, axis=0)[::stride]
+    return sliding_window_view(frames, clip_len, axis=0)[::stride]

@@ -50,7 +50,7 @@ class Subject:
     times: tuple[float, ...]
     frame_files: tuple[str, ...]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.subject_id or any(c in self.subject_id for c in " ,=\n"):
             raise DataError(f"invalid subject id {self.subject_id!r}")
         if self.label not in (0, 1):
@@ -82,7 +82,7 @@ class Dataset:
     subjects: list[Subject]
     root: Path | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (isinstance(self.fps, int) and self.fps > 0):
             raise DataError(f"fps must be a positive integer, got {self.fps!r}")
         if self.height < 1 or self.width < 1:
@@ -91,7 +91,6 @@ class Dataset:
             raise DataError("dataset has no subjects")
         seen: set[str] = set()
         for s in self.subjects:
-            s.validate()
             if s.subject_id in seen:
                 raise DataError(f"duplicate subject id {s.subject_id!r}")
             seen.add(s.subject_id)
@@ -182,7 +181,6 @@ def load_question_frames(dataset: Dataset, subject: Subject, question_index: int
 
 
 def save_manifest(dataset: Dataset, path: Path | str) -> None:
-    dataset.validate()
     lines = [
         "format = sds-manifest",
         "version = 1",
@@ -267,9 +265,7 @@ def load_manifest(path: Path | str) -> Dataset:
     if pairs:
         raise FormatError(f"manifest has unknown keys: {sorted(pairs)}")
 
-    dataset = Dataset(fps=fps, height=height, width=width, subjects=subjects, root=path.parent)
-    dataset.validate()
-    return dataset
+    return Dataset(fps=fps, height=height, width=width, subjects=subjects, root=path.parent)
 
 
 def load_dataset(root: Path | str) -> Dataset:

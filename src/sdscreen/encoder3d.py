@@ -175,9 +175,11 @@ def encode_clip(values: Tensor, params: EncoderParams,
 
 def encode_question_clips(clips: np.ndarray, params: EncoderParams
                           ) -> tuple[list[Tensor], list[int]]:
-    """Encode every clip of one question's (M, H, W, T) array from ``segment``;
-    returns (features, positions 1..M)."""
+    """Encode every clip of one question's (M, H, W, T) uint8 array from
+    ``segment``, each scaled by 1/255 into [0, 1] as it is copied into its
+    tensor; returns (features, positions 1..M)."""
     if len(clips) == 0:
         raise ContractError("a question must have at least one clip")
-    features = [encode_clip(Tensor(clip[..., None]), params) for clip in clips]
+    features = [encode_clip(Tensor(np.divide(clip[..., None], 255.0, order="C")), params)
+                for clip in clips]
     return features, list(range(1, len(clips) + 1))

@@ -94,12 +94,14 @@ class ModelConfig:
         """A mode with no head that sees video skips the encoder and attention."""
         return any(sees_video for sees_video, _ in HEADS[self.mode])
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.init_seed < 0:
             raise ConfigError(f"init_seed must be >= 0, got {self.init_seed}")
-        self.ras_config().validate()
+        if any(h < 1 for h in self.hidden):
+            raise ConfigError(f"hidden widths must be >= 1, got {self.hidden}")
+        self.ras_config()  # RasConfig refuses its own bad values when built
         build_plan(self.input_hw, self.clip_len, self.base_channels, self.feature_dim)
 
     def ras_config(self) -> RasConfig:
@@ -115,7 +117,6 @@ class ModelParams:
 
 
 def init_model(config: ModelConfig) -> ModelParams:
-    config.validate()
     rng = np.random.default_rng(np.random.SeedSequence((config.init_seed, 0xD0)))
     plan = build_plan(config.input_hw, config.clip_len, config.base_channels,
                       config.feature_dim)

@@ -61,7 +61,7 @@ class RasConfig:
     use_delta: bool = True
     per_block_affinity: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.blocks < 0:
             raise ConfigError(f"block count must be >= 0, got {self.blocks}")
         if not (np.isfinite(self.sigma) and self.sigma > 0):
@@ -83,7 +83,6 @@ class RasParams:
 
 def init_ras(dim: int, config: RasConfig, rng: np.random.Generator) -> RasParams:
     """Blocks start inert: zero channel scales make each block the identity."""
-    config.validate()
     omegas = [Tensor(np.zeros(dim), requires_grad=True) for _ in range(config.blocks)]
     psi = glorot_uniform((dim, dim), fan_in=dim, fan_out=dim, rng=rng)
     phi = glorot_uniform((dim, dim), fan_in=dim, fan_out=dim, rng=rng)
@@ -154,7 +153,6 @@ def encode_question(features: list[Tensor], positions: list[int],
     ``per_block_affinity`` is set, in which case each block recomputes them
     from its own input using the same embedding matrices.
     """
-    config.validate()
     if not features:
         raise ContractError("a question must have at least one clip feature")
     if len(features) != len(positions):

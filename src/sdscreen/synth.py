@@ -61,8 +61,7 @@ class SynthConfig:
     clip_len: int = 10
     seed: int = 0
 
-    def validate(self) -> int:
-        """Check feasibility; return the disagreeing-subject count."""
+    def __post_init__(self) -> None:
         if self.n_subjects < 2 or self.n_subjects % 2:
             raise ConfigError(f"n_subjects must be an even integer >= 2, got {self.n_subjects}")
         if not 0.0 <= self.disagreement_rate < 0.5:
@@ -93,7 +92,6 @@ class SynthConfig:
             raise ConfigError(f"clip_len must be >= 2, got {self.clip_len}")
         if self.seed < 0:
             raise ConfigError(f"synth_seed must be >= 0, got {self.seed}")
-        return k
 
 
 def _choices_for_sum(total: int, rng: np.random.Generator) -> tuple[int, ...]:
@@ -172,8 +170,7 @@ def _draw_time(rng: np.random.Generator, cfg: SynthConfig, label: int) -> tuple[
 
 def _cell_plan(cfg: SynthConfig) -> list[tuple[int, bool]]:
     """Per-subject (label, sds_agrees) pairs, labels alternating."""
-    k = cfg.validate()
-    half, miss = cfg.n_subjects // 2, k // 2
+    half, miss = cfg.n_subjects // 2, round(cfg.n_subjects * cfg.disagreement_rate) // 2
     depressed = [(1, True)] * (half - miss) + [(1, False)] * miss
     normal = [(0, True)] * (half - miss) + [(0, False)] * miss
     plan: list[tuple[int, bool]] = []
@@ -204,7 +201,6 @@ def _make_subject(index: int, label: int, agrees: bool, cfg: SynthConfig,
 
 def generate(cfg: SynthConfig, out_dir: Path | str) -> Dataset:
     """Write a full dataset directory (manifest + frames files) and return it."""
-    cfg.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     subjects = [

@@ -109,7 +109,7 @@ class TrainConfig:
     folds: int = 5
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -214,7 +214,6 @@ def train(dataset: Dataset, params: ModelParams, train_subjects: list[Subject],
     Passing the state and history restored from a checkpoint continues the
     run and reproduces exactly what an uninterrupted run would have produced.
     """
-    cfg.validate()
     if not train_subjects:
         raise ConfigError("no training subjects")
     named = named_parameters(params)
@@ -301,7 +300,7 @@ def run_fold(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
     state, history, probs = train(dataset, params, train_subjects, val_subjects, train_cfg,
                                   state=state, history=history, checkpoint_path=ckpt_path)
     history_path.write_text(history_to_csv(history), encoding="utf-8")
-    if train_cfg.epochs == 0 and not ckpt_path.is_file():
+    if not resume and train_cfg.epochs == 0:  # no epoch ran, so none saved these weights
         save_checkpoint(ckpt_path, params, state.m, state.v, state.t, history)
 
     # probs is None when no epoch ran: nothing has screened these weights yet.

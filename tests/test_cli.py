@@ -15,9 +15,11 @@ from sdscreen.cli import (
     resolve_config,
     run_gradchecks,
 )
-from sdscreen.errors import ConfigError, NumericError
+from sdscreen.dataset import Dataset, Subject
+from sdscreen.errors import ConfigError, DataError, NumericError
 from sdscreen.model import ModelConfig
 from sdscreen.numerics import load_container, write_container
+from sdscreen.ras import RasConfig
 from sdscreen.settings import build
 from sdscreen.synth import SynthConfig
 from sdscreen.trainer import TrainConfig
@@ -161,10 +163,10 @@ def test_negative_seed_exits_one(command, key, config_file, data_dir, tmp_path, 
     line = one_error_line(capsys)
     assert "seed must be >= 0" in line and "-1" in line
     assert not out.exists()  # no dataset directory, no config.txt
-    # API callers bypass the CLI: each config's own validation refuses it.
-    for config in (SynthConfig(seed=-1), ModelConfig(init_seed=-1), TrainConfig(seed=-1)):
+    # API callers bypass the CLI: each config refuses it when built.
+    for cls, name in ((SynthConfig, "seed"), (ModelConfig, "init_seed"), (TrainConfig, "seed")):
         with pytest.raises(ConfigError, match="seed must be >= 0"):
-            config.validate()
+            cls(**{name: -1})
 
 
 def test_every_config_field_is_reached_by_its_key():
@@ -180,8 +182,9 @@ def test_every_config_field_is_reached_by_its_key():
                "hidden1": {("model", "hidden")}, "hidden2": {("model", "hidden")}}
     reached = set()
     for key, value in DEFAULTS.items():
+        # Another valid value: a number doubles, or becomes 1 where it is 0.
         changed = ("mlp" if key == "mode" else not value if isinstance(value, bool)
-                   else value + 1)
+                   else value * 2 or 1)
         new = configs(resolve_config(None, [f"{key}={changed}"]))
         differ = {(name, f.name) for name, config in new.items()
                   for f in dataclasses.fields(config)
@@ -193,6 +196,28 @@ def test_every_config_field_is_reached_by_its_key():
         reached |= differ
     assert reached == {(name, f.name) for name, config in base.items()
                        for f in dataclasses.fields(config)}
+
+
+SUBJECT = dict(subject_id="s0001", label=1, choices=(2,) * 20, times=(3.0,) * 20,
+               frame_files=tuple(f"s0001_q{q + 1:02d}.rasf" for q in range(20)))
+
+
+@pytest.mark.parametrize("cls, kwargs, bad", [
+    (SynthConfig, {}, {"n_subjects": 9}),
+    (ModelConfig, {}, {"hidden": (1024, 0)}),
+    (RasConfig, {}, {"sigma": 0.0}),
+    (TrainConfig, {}, {"folds": 1}),
+    (Subject, SUBJECT, {"label": 2}),
+    (Dataset, {"fps": 5, "height": 8, "width": 8, "subjects": [Subject(**SUBJECT)]},
+     {"subjects": []}),
+], ids=["SynthConfig", "ModelConfig", "RasConfig", "TrainConfig", "Subject", "Dataset"])
+def test_configs_and_records_refuse_a_bad_value_when_built(cls, kwargs, bad):
+    error = DataError if cls in (Subject, Dataset) else ConfigError
+    valid = cls(**kwargs)
+    with pytest.raises(error):
+        cls(**{**kwargs, **bad})
+    with pytest.raises(error):
+        dataclasses.replace(valid, **bad)
 
 
 def test_readme_set_flags_resolve():
@@ -248,12 +273,12 @@ def test_nonfinite_float_config_exits_one(key, tmp_path, capsys):
         assert main(["synth", "--out", str(tmp_path / "d"), "--set", f"{key}={raw}"]) == 1
         assert key in one_error_line(capsys)
     assert not (tmp_path / "d").exists()
-    # API callers bypass the CLI: each config's own validation refuses NaN.
+    # API callers bypass the CLI: each config refuses NaN when built.
     owners = [cls for cls in (SynthConfig, ModelConfig, TrainConfig)
               if key in {f.name for f in dataclasses.fields(cls)}]
     for cls in owners:
         with pytest.raises(ConfigError):
-            cls(**{key: float("nan")}).validate()
+            cls(**{key: float("nan")})
     assert owners
 
 
@@ -308,6 +333,23 @@ def test_train_refuses_jobs_below_one(jobs, config_file, data_dir, tmp_path, cap
                  "--jobs", jobs]) == 1
     assert "--jobs" in one_error_line(capsys)
     assert not out.exists()  # refused before config.txt is written
+
+
+@pytest.mark.parametrize("flags, code, says", [
+    (["--set", "hidden1=0"], 1, "hidden widths must be >= 1"),
+    (["--set", "folds=20"], 1, "cannot split 8 subjects into 20 folds"),
+    (["--data", "{tmp}/missing"], 2, "manifest missing"),
+    (["--set", "input_hw=22"], 1, "holds 12x12 frames, input_hw is 22"),
+], ids=["hidden1", "folds", "data", "input_hw"])
+def test_refused_train_leaves_no_run_directory(flags, code, says, config_file, data_dir,
+                                               tmp_path, capsys):
+    out = tmp_path / "run"
+    command = ["train", "--data", data_dir, "--out", str(out), "--config", config_file,
+               "--fold", "0"]
+    assert main(command + [f.format(tmp=tmp_path) for f in flags]) == code
+    assert says in one_error_line(capsys)
+    assert not out.exists()  # so the corrected command may claim it
+    assert main(command) == 0
 
 
 def test_missing_dataset_exits_two(config_file, tmp_path):
@@ -395,6 +437,22 @@ def test_train_other_fold_under_another_sigma_exits_one(config_file, data_dir,
                  "--config", config_file, "--set", "sigma=5.0"]) == 1
     assert "sigma differ" in one_error_line(capsys)
     assert not (out / "fold1.ckpt").exists()
+
+
+def test_zero_epochs_over_a_trained_fold_rewrites_its_checkpoint(config_file, data_dir,
+                                                                 run_dir, tmp_path, capsys):
+    # Checkpoint, history and printed metrics all describe the fresh weights.
+    over, fresh = tmp_path / "over", tmp_path / "fresh"
+    shutil.copytree(run_dir, over)
+    zero = ["--fold", "0", "--config", config_file, "--set", "epochs=0"]
+    assert main(["train", "--data", data_dir, "--out", str(over), *zero]) == 0
+    trained = capsys.readouterr().out
+    assert (over / "fold0_history.csv").read_text() == "epoch,loss,train_acc,val_acc\n"
+    assert main(["eval", "--data", data_dir, "--run", str(over), "--fold", "0",
+                 "--out", str(tmp_path / "report")]) == 0
+    assert capsys.readouterr().out == trained
+    assert main(["train", "--data", data_dir, "--out", str(fresh), *zero]) == 0
+    assert (over / "fold0.ckpt").read_bytes() == (fresh / "fold0.ckpt").read_bytes()
 
 
 def test_eval_reproduces_train_metrics(config_file, data_dir, tmp_path, capsys):

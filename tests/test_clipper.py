@@ -36,21 +36,21 @@ def test_clip_count_rejects_short_and_bad_len():
 def test_segment_positions_and_window_content():
     frames = np.arange(50, dtype=np.uint8).reshape(50, 1, 1)
     clips = segment(frames)
-    assert clips.shape == (9, 1, 1, 10)
+    assert clips.shape == (9, 1, 1, 10) and clips.dtype == np.uint8
     assert not clips.flags.writeable
+    assert np.shares_memory(clips, frames)  # a view: no scaled copy of the question
     # Clip k (position k + 1) covers frames 5k .. 5k + 9 after the half-length hop.
     for k in range(9):
-        assert np.array_equal(clips[k, 0, 0, :] * 255.0, np.arange(5 * k, 5 * k + 10))
+        assert np.array_equal(clips[k, 0, 0, :], np.arange(5 * k, 5 * k + 10))
 
 
 @pytest.mark.parametrize("n", [10, 14, 15, 37])
 def test_segment_matches_per_window_copies(n):
     frames = np.random.default_rng(n).integers(0, 256, (n, 3, 4)).astype(np.uint8)
-    scaled = frames.astype(np.float64) / 255.0
     clips = segment(frames)
     assert clips.shape == (clip_count(n), 3, 4, 10)
     for k, clip in enumerate(clips):
-        want = np.ascontiguousarray(scaled[5 * k:5 * k + 10].transpose(1, 2, 0))
+        want = np.ascontiguousarray(frames[5 * k:5 * k + 10].transpose(1, 2, 0))
         assert np.ascontiguousarray(clip).tobytes() == want.tobytes()
 
 

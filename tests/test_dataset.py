@@ -74,27 +74,21 @@ def test_sum_classify_rejects_bad_choices():
 
 def test_subject_validation():
     s = make_subject()
-    s.validate()
-    bad = Subject(subject_id="s0", label=2, choices=s.choices, times=s.times,
-                  frame_files=s.frame_files)
     with pytest.raises(DataError):
-        bad.validate()
-    bad = Subject(subject_id="s0", label=0, choices=s.choices,
-                  times=[0.0] + [2.0] * 19, frame_files=s.frame_files)
+        Subject(subject_id="s0", label=2, choices=s.choices, times=s.times,
+                frame_files=s.frame_files)
     with pytest.raises(DataError):
-        bad.validate()
-    bad = Subject(subject_id="s0", label=0, choices=s.choices, times=s.times,
-                  frame_files=["../evil.rasf"] + s.frame_files[1:])
+        Subject(subject_id="s0", label=0, choices=s.choices,
+                times=[0.0] + [2.0] * 19, frame_files=s.frame_files)
     with pytest.raises(DataError):
-        bad.validate()
+        Subject(subject_id="s0", label=0, choices=s.choices, times=s.times,
+                frame_files=["../evil.rasf"] + s.frame_files[1:])
 
 
 def test_dataset_validation_catches_duplicate_ids():
     d = make_dataset(2)
-    dupe = Dataset(fps=5, height=8, width=8,
-                   subjects=[d.subjects[0], d.subjects[0]])
     with pytest.raises(DataError):
-        dupe.validate()
+        Dataset(fps=5, height=8, width=8, subjects=[d.subjects[0], d.subjects[0]])
 
 
 def test_frames_roundtrip_bitexact():

@@ -38,13 +38,14 @@ def data(tmp_path_factory):
 
 
 def test_config_validation():
-    CFG.validate()
     with pytest.raises(ConfigError):
-        dataclasses.replace(CFG, mode="hybrid").validate()
+        dataclasses.replace(CFG, mode="hybrid")
     with pytest.raises(ConfigError):
-        dataclasses.replace(CFG, input_hw=7).validate()
+        dataclasses.replace(CFG, input_hw=7)
     with pytest.raises(ConfigError):
-        dataclasses.replace(CFG, sigma=0.0).validate()
+        dataclasses.replace(CFG, sigma=0.0)
+    with pytest.raises(ConfigError, match="hidden widths"):
+        dataclasses.replace(CFG, hidden=(0, 4))
 
 
 def test_parameter_registry_order_and_modes():
@@ -264,8 +265,9 @@ def test_model_vector_covers_every_field_but_init_seed():
     assert len(base) == len(_MODEL_KEYS)
     for f in dataclasses.fields(ModelConfig):
         value = getattr(CFG, f.name)
+        # Another valid value: input_hw and clip_len keep their parity when doubled.
         changed = ("mlp" if f.name == "mode" else (value[0], value[1] + 1) if f.name == "hidden"
-                   else not value if isinstance(value, bool) else value + 1)
+                   else not value if isinstance(value, bool) else value * 2)
         vector = _model_vector(dataclasses.replace(CFG, **{f.name: changed}))
         assert np.array_equal(vector, base) == (f.name == "init_seed"), f.name
 

@@ -7,6 +7,8 @@ three bitwise identities: identical features pass through unchanged, a single
 clip passes through unchanged, and permuting clips permutes outputs exactly.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,11 +235,10 @@ def test_contract_errors():
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
 def test_config_rejects_nonpositive_or_nonfinite_sigma(sigma):
-    cfg = RasConfig(blocks=1, sigma=sigma)
     with pytest.raises(ConfigError):
-        cfg.validate()
+        RasConfig(blocks=1, sigma=sigma)
     with pytest.raises(ConfigError):
-        init_ras(4, cfg, np.random.default_rng(0))
+        dataclasses.replace(RasConfig(blocks=1), sigma=sigma)
 
 
 def test_encode_question_gradcheck_two_blocks():

@@ -1,5 +1,7 @@
 """Synthetic data generator: feasibility, determinism, planted structure."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from sdscreen.dataset import (
     sds_sum_classify,
 )
 from sdscreen.errors import ConfigError
-from sdscreen.synth import SynthConfig, disagreement_cells, generate
+from sdscreen.synth import SynthConfig, _cell_plan, disagreement_cells, generate
 
 FAST = dict(fps=1, height=12, width=12, time_median_s=3.0,
             time_min_s=2.0, time_max_s=5.0, clip_len=4)
@@ -71,22 +73,23 @@ def planted_signal_probe(dataset, clip_len=10):
 
 
 def test_config_validation():
-    assert SynthConfig(n_subjects=20, disagreement_rate=0.2).validate() == 4
-    assert SynthConfig(n_subjects=10, disagreement_rate=0.0).validate() == 0
+    for n, rate, k in ((20, 0.2, 4), (10, 0.0, 0)):
+        plan = _cell_plan(SynthConfig(n_subjects=n, disagreement_rate=rate))
+        assert sum(not agrees for _, agrees in plan) == k
     with pytest.raises(ConfigError):
-        SynthConfig(n_subjects=9).validate()  # odd
+        SynthConfig(n_subjects=9)  # odd
     with pytest.raises(ConfigError):
-        SynthConfig(n_subjects=20, disagreement_rate=0.7).validate()
+        SynthConfig(n_subjects=20, disagreement_rate=0.7)
     with pytest.raises(ConfigError):
-        SynthConfig(n_subjects=10, disagreement_rate=0.3).validate()  # k = 3
+        SynthConfig(n_subjects=10, disagreement_rate=0.3)  # k = 3
     with pytest.raises(ConfigError):
-        SynthConfig(n_subjects=20, disagreement_rate=0.15).validate()  # k = 3
+        SynthConfig(n_subjects=20, disagreement_rate=0.15)  # k = 3
     with pytest.raises(ConfigError):
-        SynthConfig(fps=0).validate()
+        SynthConfig(fps=0)
     with pytest.raises(ConfigError):
-        SynthConfig(height=4).validate()
+        SynthConfig(height=4)
     with pytest.raises(ConfigError):
-        SynthConfig(time_min_s=5.0, time_max_s=2.0).validate()
+        SynthConfig(time_min_s=5.0, time_max_s=2.0)
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +105,7 @@ def test_generated_set_structure(small_set):
     labels = [s.label for s in data.subjects]
     assert sum(labels) == 10
     for s in data.subjects:
-        s.validate()
+        dataclasses.replace(s)  # a Subject checks itself when built
         assert min(s.times) >= cfg.time_min_s - 1e-9
         assert max(s.times) <= cfg.time_max_s + 1e-9
     # Frame counts follow the configured rate and respect the clip floor.

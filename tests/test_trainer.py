@@ -141,13 +141,12 @@ def test_history_csv_format():
 
 
 def test_train_config_validation():
-    TrainConfig().validate()
     with pytest.raises(ConfigError):
-        TrainConfig(batch_size=0).validate()
+        TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
-        TrainConfig(threshold=1.5).validate()
+        TrainConfig(threshold=1.5)
     with pytest.raises(ConfigError):
-        TrainConfig(folds=1).validate()
+        TrainConfig(folds=1)
 
 
 # ---------------------------------------------------------------------------
