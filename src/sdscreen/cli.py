@@ -180,9 +180,12 @@ def _write_curves(out_dir: Path, histories: dict[int, list[HistoryRow]]) -> None
             series.append((f"fold {fold} train", epochs, train_acc))
             if not any(np.isnan(val_acc)):
                 series.append((f"fold {fold} val", epochs, val_acc))
+    path = out_dir / "training_curves.svg"
     if series:
-        svg = line_plot_svg(series, "Accuracy by epoch", "epoch", "accuracy")
-        (out_dir / "training_curves.svg").write_text(svg, encoding="utf-8")
+        path.write_text(line_plot_svg(series, "Accuracy by epoch", "epoch", "accuracy"),
+                        encoding="utf-8")
+    else:  # no epoch ran: curves of an earlier run would describe other histories
+        path.unlink(missing_ok=True)
 
 
 def _print_aggregate(per_fold: dict[int, dict[str, float]]) -> None:
@@ -237,6 +240,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     if model_cfg.needs_video and hw != (model_cfg.input_hw,) * 2:
         raise ConfigError(f"{args.data} holds {hw[0]}x{hw[1]} frames, "
                           f"input_hw is {model_cfg.input_hw}")
+    if model_cfg.needs_video and dataset.min_frames < model_cfg.clip_len:
+        raise ConfigError(f"{args.data} has a question video of {dataset.min_frames} frames, "
+                          f"shorter than clip_len {model_cfg.clip_len}")
     kfold_split([s.subject_id for s in dataset.subjects], train_cfg.folds, train_cfg.seed)
     out_dir = Path(args.out)
     _write_run_config(out_dir, cfg, args.resume)

@@ -81,6 +81,8 @@ class Dataset:
     width: int
     subjects: list[Subject]
     root: Path | None = None
+    # The fewest frames of any question video; None until the headers are read.
+    min_frames: int | None = None
 
     def __post_init__(self) -> None:
         if not (isinstance(self.fps, int) and self.fps > 0):
@@ -272,10 +274,12 @@ def load_dataset(root: Path | str) -> Dataset:
     """Load a dataset directory and check every frames reference is usable.
 
     Each referenced file must exist and its header must declare the manifest's
-    frame extents.
+    frame extents. The fewest frames any header declares is kept as
+    ``min_frames``.
     """
     root = Path(root)
     dataset = load_manifest(root / "manifest.txt")
+    counts = []
     for s in dataset.subjects:
         for name in s.frame_files:
             path = root / name
@@ -283,10 +287,12 @@ def load_dataset(root: Path | str) -> Dataset:
                 raise DataError(f"subject {s.subject_id}: frames file missing: {name}")
             with open(path, "rb") as fh:
                 header = fh.read(16)
-            _, h, w = _frames_header(header, f"{name}: ")
+            n, h, w = _frames_header(header, f"{name}: ")
             if (h, w) != (dataset.height, dataset.width):
                 raise DataError(
                     f"subject {s.subject_id}: {name} holds {h}x{w} frames, "
                     f"manifest declares {dataset.height}x{dataset.width}"
                 )
+            counts.append(n)
+    dataset.min_frames = min(counts)
     return dataset

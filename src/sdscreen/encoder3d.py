@@ -19,16 +19,34 @@ the reference configuration:
     1x1x1x256 -> 256 -> 128
 Smaller square inputs (22, 20, 12, ...) reuse the same pattern with fewer
 stages, for desk-scale training and gradient checks.
+
+A taped clip at the reference plan keeps about 32 MB of activations, so
+``encode_question_clips`` records each clip of such a plan as one
+``recomputed`` tape entry that holds only the clip's uint8 frames and
+re-encodes it in backward. Clips of small plans (a 22x22 clip keeps about
+0.1 MB) stay on the tape, where re-encoding would cost time and save nothing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
-from .numerics import Tensor, add, conv3d, glorot_uniform, matmul, maxpool3d, relu, reshape
+from .numerics import (
+    Tensor,
+    add,
+    conv3d,
+    glorot_uniform,
+    matmul,
+    maxpool3d,
+    recomputed,
+    relu,
+    reshape,
+)
 
 __all__ = [
     "EncoderPlan",
@@ -41,6 +59,9 @@ __all__ = [
 ]
 
 CONV_KERNEL = 3
+# A clip whose taped activations exceed this many bytes is re-encoded in
+# backward instead of kept on the tape.
+RECOMPUTE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -51,6 +72,11 @@ class EncoderPlan:
     final_kernel: tuple[int, int, int]
     final_channels: int
     feature_dim: int
+
+    @cached_property
+    def taped_bytes(self) -> int:
+        """Float64 bytes of one clip's intermediates, every shape of ``shape_chain``."""
+        return 8 * sum(math.prod(shape) for shape in shape_chain(self))
 
 
 def build_plan(input_hw: int, clip_len: int = 10, base_channels: int = 16,
@@ -173,13 +199,22 @@ def encode_clip(values: Tensor, params: EncoderParams,
     return note(add(matmul(params.fc_weight, x), params.fc_bias))
 
 
+def _encode_frames(clip: np.ndarray, params: EncoderParams) -> Tensor:
+    """Encode one (H, W, T) uint8 clip, scaled by 1/255 into [0, 1] as it is
+    copied into its tensor."""
+    return encode_clip(Tensor(np.divide(clip[..., None], 255.0, order="C")), params)
+
+
 def encode_question_clips(clips: np.ndarray, params: EncoderParams
                           ) -> tuple[list[Tensor], list[int]]:
     """Encode every clip of one question's (M, H, W, T) uint8 array from
-    ``segment``, each scaled by 1/255 into [0, 1] as it is copied into its
-    tensor; returns (features, positions 1..M)."""
+    ``segment``; returns (features, positions 1..M). Under a tape, a plan
+    whose clips keep more than RECOMPUTE_BYTES records each clip as one
+    ``recomputed`` entry."""
     if len(clips) == 0:
         raise ContractError("a question must have at least one clip")
-    features = [encode_clip(Tensor(np.divide(clip[..., None], 255.0, order="C")), params)
-                for clip in clips]
+    if params.plan.taped_bytes > RECOMPUTE_BYTES:
+        features = [recomputed(_encode_frames, clip, params) for clip in clips]
+    else:
+        features = [_encode_frames(clip, params) for clip in clips]
     return features, list(range(1, len(clips) + 1))

@@ -277,7 +277,8 @@ def load_checkpoint(path: Path | str, params: ModelParams
     path = Path(path)
     if not path.is_file():
         raise FormatError(f"checkpoint missing: {path}")
-    entries = load_container(path.read_bytes())
+    with open(path, "rb") as f:
+        entries = load_container(f)
     adam_m: dict[str, np.ndarray] = {}
     adam_v: dict[str, np.ndarray] = {}
     for name, tensor in named_parameters(params):

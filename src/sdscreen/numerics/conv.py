@@ -13,8 +13,8 @@ Forwards compute only their values. Backward recomputes what it needs from the
 stored inputs instead of keeping it on the tape: the convolution rebuilds the
 row matrix from the padded input for the kernel gradient, and accumulates the
 input gradient into a matrix of the same layout that it folds back onto the
-padded grid with kw*kt slice-adds; the pooling recomputes each window's
-first-max position from its input. That trades a little recompute in backward
+padded grid with kw*kt slice-adds; the pooling finds each window's first
+max again from its input and output. That trades a little recompute in backward
 for a smaller tape and cheaper untaped passes.
 """
 
@@ -131,9 +131,10 @@ def conv3d(x: Tensor, kernels: Tensor, bias: Tensor,
 def maxpool3d(x: Tensor, window: tuple[int, int, int]) -> Tensor:
     """Non-overlapping max pooling; each extent must divide evenly.
 
-    Forward takes each window's max directly. Backward recomputes the first
-    max of each window in (H, W, T) scan order from the input and routes the
-    gradient there, so ties are deterministic.
+    Forward takes each window's max directly. Backward routes each window's
+    gradient to the first element equal to its max in (H, W, T) scan order,
+    so ties are deterministic: it visits the window offsets in that order,
+    each as a strided view of the input, and masks the windows not yet routed.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool3d input must be (H, W, T, C), got {x.shape}")
@@ -150,12 +151,17 @@ def maxpool3d(x: Tensor, window: tuple[int, int, int]) -> Tensor:
     def bwd(g: np.ndarray) -> None:
         if x.requires_grad:
             blocks = x.data.reshape(oh, ph, ow, pw, ot, pt, c)
-            blocks = blocks.transpose(0, 2, 4, 6, 1, 3, 5).reshape(oh, ow, ot, c, ph * pw * pt)
-            flat_idx = blocks.argmax(axis=-1)       # first max wins on ties
-            gblocks = np.zeros((oh, ow, ot, c, ph * pw * pt), dtype=np.float64)
-            np.put_along_axis(gblocks, flat_idx[..., None], g[..., None], axis=-1)
-            gx = gblocks.reshape(oh, ow, ot, c, ph, pw, pt)
-            gx = gx.transpose(0, 4, 1, 5, 2, 6, 3).reshape(h, w, t, c)
+            gx = np.empty_like(x.data)
+            gblocks = gx.reshape(blocks.shape)
+            hit = np.empty(data.shape, dtype=bool)
+            routed = np.zeros(data.shape, dtype=bool)
+            for i, j, k in np.ndindex(ph, pw, pt):
+                np.equal(blocks[:, i, :, j, :, k, :], data, out=hit)
+                np.greater(hit, routed, out=hit)  # a max, and the window's first
+                routed |= hit
+                # -0.0 where a negative g is not routed; accumulate_grad's
+                # first add of 0.0 turns it into the 0.0 argmax routing wrote.
+                np.multiply(g, hit, out=gblocks[:, i, :, j, :, k, :])
             x.accumulate_grad(gx)
 
     return _finish("maxpool3d", data, (x,), bwd)

@@ -12,6 +12,7 @@ Round-tripping is exact: float64 payloads are written bit for bit.
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 from typing import BinaryIO
@@ -42,23 +43,35 @@ def _write_array(f: BinaryIO, arr: np.ndarray) -> None:
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
-        self.view = memoryview(blob)
-        self.pos = 0
+    """Reads a container from a binary file, checking every length against
+    the bytes the file has left before it reads or allocates."""
 
-    def view_of(self, n: int) -> memoryview:
-        """The next ``n`` bytes, without copying them."""
-        if self.pos + n > len(self.view):
+    def __init__(self, f: BinaryIO):
+        self.f = f
+        start = f.tell()
+        self.left = f.seek(0, io.SEEK_END) - start
+        f.seek(start)
+
+    def claim(self, n: int) -> None:
+        """Count ``n`` more bytes as read; FormatError if the file lacks them."""
+        if n > self.left:
             raise FormatError("snapshot truncated")
-        chunk = self.view[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
+        self.left -= n
 
     def take(self, n: int) -> bytes:
-        return bytes(self.view_of(n))
+        self.claim(n)
+        chunk = self.f.read(n)
+        if len(chunk) != n:  # the file shrank while it was read
+            raise FormatError("snapshot truncated")
+        return chunk
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def fill(self, arr: np.ndarray) -> None:
+        """Read ``arr.nbytes`` bytes, claimed beforehand, straight into ``arr``."""
+        if self.f.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+            raise FormatError("snapshot truncated")
 
 
 def _read_array(r: _Reader) -> np.ndarray:
@@ -67,13 +80,14 @@ def _read_array(r: _Reader) -> np.ndarray:
     version, rank = r.unpack("<HH")
     if version != SNAPSHOT_VERSION:
         raise FormatError(f"unsupported snapshot version {version}")
-    shape = tuple(r.unpack("<Q")[0] for _ in range(rank))
-    payload = r.view_of(8 * math.prod(shape))  # Python ints: hostile extents cannot overflow
+    shape = r.unpack(f"<{rank}Q")
+    r.claim(8 * math.prod(shape))  # before allocating; Python ints cannot overflow
     try:
-        arr = np.frombuffer(payload, dtype="<f8").reshape(shape)
+        arr = np.empty(shape, dtype="<f8")
     except ValueError:  # too many axes, or a zero-size shape numpy cannot represent
         raise FormatError(f"unsupported snapshot shape {shape}") from None
-    return arr.astype(np.float64)  # the one copy, which also lets the blob go
+    r.fill(arr)
+    return arr.astype(np.float64, copy=False)
 
 
 def write_container(f: BinaryIO, entries: dict[str, np.ndarray]) -> None:
@@ -87,8 +101,10 @@ def write_container(f: BinaryIO, entries: dict[str, np.ndarray]) -> None:
         _write_array(f, arr)
 
 
-def load_container(blob: bytes) -> dict[str, np.ndarray]:
-    r = _Reader(blob)
+def load_container(f: BinaryIO) -> dict[str, np.ndarray]:
+    """Read a container from ``f``, from its position to its end, each entry
+    straight into its own array."""
+    r = _Reader(f)
     if r.take(4) != CONTAINER_MAGIC:
         raise FormatError("bad container magic")
     version, count = r.unpack("<HI")
@@ -104,6 +120,6 @@ def load_container(blob: bytes) -> dict[str, np.ndarray]:
         if name in entries:
             raise FormatError(f"duplicate container entry {name!r}")
         entries[name] = _read_array(r)
-    if r.pos != len(blob):
-        raise FormatError(f"{len(blob) - r.pos} trailing bytes after container")
+    if r.left:
+        raise FormatError(f"{r.left} trailing bytes after container")
     return entries

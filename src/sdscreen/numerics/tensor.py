@@ -11,6 +11,10 @@ and the intermediate gradient it received are freed as soon as the backward
 pass moves past them. Afterwards the tape is empty and only leaves (the
 parameters and any input tensor created with ``requires_grad``) keep a
 ``grad``; intermediates do not.
+
+``recomputed`` trades compute for memory (gradient checkpointing): it runs a
+function with no tape and records it as one entry, whose closure re-runs the
+function under a local tape and replays that tape with the output's gradient.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ __all__ = [
     "stack",
     "reshape",
     "transpose",
+    "recomputed",
     "glorot_uniform",
 ]
 
@@ -93,8 +98,11 @@ class Tensor:
                 f"gradient shape {contribution.shape} does not match tensor shape {self.data.shape}"
             )
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += contribution
+            # One pass into a fresh array; adding 0.0 gives the bits of
+            # zeros + contribution (-0.0 becomes 0.0) and keeps 0-d arrays 0-d.
+            self.grad = np.add(contribution, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += contribution
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -130,14 +138,19 @@ class Tape:
         return len(self._entries)
 
     def backward(self, loss: Tensor) -> None:
+        """Replay the tape from ``loss``. A scalar loss is seeded with 1; any
+        other output must already hold its seed gradient in ``grad``."""
         if self._consumed:
             raise ContractError("tape already replayed; build a fresh tape per backward pass")
-        if loss.shape != ():
-            raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+        if loss.grad is None and loss.shape != ():
+            raise ShapeError(f"backward needs a scalar loss or a seed gradient, got shape {loss.shape}")
+        if loss.grad is not None and loss.grad.shape != loss.shape:
+            raise ShapeError(f"seed gradient shape {loss.grad.shape} does not match {loss.shape}")
         if loss._tape is not self:
             raise ContractError("loss was not recorded on this tape")
         self._consumed = True
-        loss.grad = np.ones((), dtype=np.float64)
+        if loss.grad is None:
+            loss.grad = np.ones((), dtype=np.float64)
         entries = self._entries
         while entries:
             out, backward_fn = entries.pop()
@@ -147,11 +160,42 @@ class Tape:
             del out, backward_fn, grad
 
 
-_TAPE_STACK: list[Tape] = []
+# None on the stack turns recording off until it is popped.
+_TAPE_STACK: list[Tape | None] = []
 
 
 def _active_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
+
+
+def recomputed(fn: Callable[..., Tensor], *args) -> Tensor:
+    """``fn(*args)``, recorded on the active tape as one entry.
+
+    ``fn`` runs with no tape, so none of its intermediates is kept. In
+    backward the entry re-runs ``fn(*args)`` under a local tape and replays
+    that with the output's gradient (Chen et al., *Training Deep Nets with
+    Sublinear Memory Cost*, arXiv 1604.06174). ``fn`` must be deterministic:
+    the replay visits its ops in the same reverse order as a plain tape, so
+    every input receives the same contributions in the same order and the
+    gradients are bit-identical.
+    """
+    tape = _active_tape()
+    if tape is None:
+        return fn(*args)
+    _TAPE_STACK.append(None)
+    try:
+        out = fn(*args)
+    finally:
+        _TAPE_STACK.pop()
+    if out.requires_grad:
+        def bwd(g: np.ndarray) -> None:
+            with Tape() as local:
+                again = fn(*args)
+            again.grad = g
+            local.backward(again)
+
+        tape.record(out, bwd)
+    return out
 
 
 def _finish(op: str, data: np.ndarray, inputs: Sequence[Tensor],

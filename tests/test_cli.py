@@ -340,7 +340,8 @@ def test_train_refuses_jobs_below_one(jobs, config_file, data_dir, tmp_path, cap
     (["--set", "folds=20"], 1, "cannot split 8 subjects into 20 folds"),
     (["--data", "{tmp}/missing"], 2, "manifest missing"),
     (["--set", "input_hw=22"], 1, "holds 12x12 frames, input_hw is 22"),
-], ids=["hidden1", "folds", "data", "input_hw"])
+    (["--set", "clip_len=8"], 1, "frames, shorter than clip_len 8"),
+], ids=["hidden1", "folds", "data", "input_hw", "clip_len"])
 def test_refused_train_leaves_no_run_directory(flags, code, says, config_file, data_dir,
                                                tmp_path, capsys):
     out = tmp_path / "run"
@@ -395,7 +396,8 @@ def test_resume_with_damaged_history_exits_two(history, config_file, data_dir,
     resumed = tmp_path / "resumed"
     shutil.copytree(run_dir, resumed)
     ckpt = resumed / "fold0.ckpt"
-    entries = load_container(ckpt.read_bytes())
+    with open(ckpt, "rb") as f:
+        entries = load_container(f)
     entries["meta.history"] = np.array(history)
     with open(ckpt, "wb") as f:
         write_container(f, entries)
@@ -453,6 +455,20 @@ def test_zero_epochs_over_a_trained_fold_rewrites_its_checkpoint(config_file, da
     assert capsys.readouterr().out == trained
     assert main(["train", "--data", data_dir, "--out", str(fresh), *zero]) == 0
     assert (over / "fold0.ckpt").read_bytes() == (fresh / "fold0.ckpt").read_bytes()
+
+
+def test_zero_epochs_over_a_trained_run_leaves_no_earlier_curves(config_file, data_dir,
+                                                                 run_dir, tmp_path):
+    over = tmp_path / "over"
+    shutil.copytree(run_dir, over)
+    assert (over / "training_curves.svg").is_file()
+    assert main(["train", "--data", data_dir, "--out", str(over), "--config", config_file,
+                 "--set", "epochs=0"]) == 0
+    assert not (over / "training_curves.svg").exists()  # every history is a header now
+    assert main(["train", "--data", data_dir, "--out", str(over), "--config", config_file,
+                 "--resume"]) == 0
+    assert (over / "training_curves.svg").read_bytes() == \
+        (run_dir / "training_curves.svg").read_bytes()
 
 
 def test_eval_reproduces_train_metrics(config_file, data_dir, tmp_path, capsys):

@@ -379,3 +379,30 @@ def test_desk_encoder_bit_equal_to_relu_then_argmax_pool(clip):
     assert_bits_equal(got_loss, want_loss)
     for g, w in zip(got_grads, want_grads):
         assert_bits_equal(g, w)
+
+
+POOL_SHAPES = {
+    "reference-stage0": ((108, 108, 10, 16), (2, 2, 1)),
+    "reference-stage1": ((52, 52, 10, 32), (2, 2, 1)),
+    "reference-last": ((10, 10, 10, 128), (2, 2, 2)),
+    "desk-stage0": ((20, 20, 10, 2), (2, 2, 1)),
+    "desk-last": ((8, 8, 10, 4), (2, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", POOL_SHAPES)
+def test_maxpool_backward_bit_equal_to_argmax_oracle_on_planted_ties(name):
+    shape, window = POOL_SHAPES[name]
+    r = np.random.default_rng(len(name))
+    x = r.normal(size=shape)
+    x[::2] = np.round(x[::2])        # small integers: windows hold their max 2-8 times
+    x[:, 1::3, :2] = 0.0             # constant stretches: every element of a window ties
+    x[-1] = -0.0                     # signed zeros tie with zeros
+    n_out = x.size // int(np.prod(window))
+    probe = r.normal(size=n_out)
+    probe[::5] = 0.0
+    probe[1::5] = -0.0
+    got, (got_grad,) = run_taped(lambda t: maxpool3d(t, window), [x], probe)
+    want, (want_grad,) = run_taped(lambda t: maxpool_argmax(t, window), [x], probe)
+    assert np.array_equal(got, want)  # a max of 0.0 and -0.0 may take either sign
+    assert_bits_equal(got_grad, want_grad)

@@ -181,7 +181,8 @@ def saved_entries(path):
     params = init_model(CFG)
     zeros = {n: np.zeros_like(t.data) for n, t in named_parameters(params)}
     save_checkpoint(path, params, zeros, zeros, adam_t=4, history=HISTORY[:2])
-    return load_container(path.read_bytes())
+    with open(path, "rb") as f:
+        return load_container(f)
 
 
 def test_checkpoint_file_is_the_container_of_its_entries(tmp_path):

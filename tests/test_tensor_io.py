@@ -1,11 +1,14 @@
 """Binary snapshot formats: array and named-container round-trips.
 
 A snapshot is only ever written as one entry of a container, so the array
-checks write one-entry containers and read them back.
+checks write one-entry containers and read them back. Every read goes through
+``load_both``: from memory and from a file on disk, which must agree.
 """
 
 import io
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +29,30 @@ def container_bytes(entries):
     return buf.getvalue()
 
 
+def load_both(blob):
+    """``load_container`` of ``blob`` from an in-memory file and from a file on
+    disk: both give the same entries, bit for bit, or the same FormatError,
+    which is raised."""
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.bin"
+        path.write_bytes(blob)
+        for opened in (lambda: io.BytesIO(blob), lambda: open(path, "rb")):
+            with opened() as f:
+                try:
+                    outcomes.append(load_container(f))
+                except FormatError as e:
+                    outcomes.append(e)
+    memory, disk = outcomes
+    if isinstance(memory, FormatError):
+        assert isinstance(disk, FormatError) and str(disk) == str(memory)
+        raise memory
+    assert list(memory) == list(disk)
+    for name, arr in memory.items():
+        assert arr.shape == disk[name].shape and arr.tobytes() == disk[name].tobytes()
+    return memory
+
+
 def snapshot_bytes(arr):
     """A one-entry container around ``arr``: its snapshot starts at SNAPSHOT_AT."""
     return container_bytes({"x": arr})
@@ -35,7 +62,7 @@ def snapshot_bytes(arr):
 def test_array_roundtrip_bitexact(shape):
     r = np.random.default_rng(sum(shape) + len(shape))
     x = r.normal(size=shape)
-    back = load_container(snapshot_bytes(x))["x"]
+    back = load_both(snapshot_bytes(x))["x"]
     assert back.shape == x.shape
     assert back.dtype == np.float64
     assert np.array_equal(back, x)
@@ -60,29 +87,29 @@ def test_array_bad_magic():
     blob = bytearray(snapshot_bytes(np.zeros(2)))
     blob[SNAPSHOT_AT:SNAPSHOT_AT + 4] = b"XXXX"
     with pytest.raises(FormatError, match="snapshot magic"):
-        load_container(bytes(blob))
+        load_both(bytes(blob))
 
 
 def test_array_truncated_payload():
     blob = snapshot_bytes(np.zeros(4))
     with pytest.raises(FormatError, match="truncated"):
-        load_container(blob[:-8])
+        load_both(blob[:-8])
 
 
 def test_array_trailing_bytes_rejected():
     with pytest.raises(FormatError, match="trailing"):
-        load_container(snapshot_bytes(np.zeros(2)) + b"\x00")
+        load_both(snapshot_bytes(np.zeros(2)) + b"\x00")
 
 
 def test_array_unsupported_version():
     blob = bytearray(snapshot_bytes(np.zeros(2)))
     struct.pack_into("<H", blob, SNAPSHOT_AT + 4, 9)
     with pytest.raises(FormatError, match="snapshot version"):
-        load_container(bytes(blob))
+        load_both(bytes(blob))
     blob = bytearray(snapshot_bytes(np.zeros(2)))
     struct.pack_into("<H", blob, 4, 9)
     with pytest.raises(FormatError, match="container version"):
-        load_container(bytes(blob))
+        load_both(bytes(blob))
 
 
 def test_container_roundtrip_preserves_order_and_values():
@@ -92,7 +119,7 @@ def test_container_roundtrip_preserves_order_and_values():
         "beta/ùñí": r.normal(size=3),
         "gamma": np.array(4.25),
     }
-    back = load_container(container_bytes(entries))
+    back = load_both(container_bytes(entries))
     assert list(back) == list(entries)
     for name, want in entries.items():
         assert np.array_equal(back[name], want)
@@ -125,7 +152,7 @@ def test_streamed_container_equals_joined_bytes(tmp_path):
         write_container(f, entries)
     blob = path.read_bytes()
     assert blob == container_bytes(entries) == dump_container_joined(entries)
-    assert load_container(blob)["step"].shape == ()
+    assert load_both(blob)["step"].shape == ()
 
 
 def test_container_duplicate_names_rejected():
@@ -135,29 +162,29 @@ def test_container_duplicate_names_rejected():
     entry = blob[10:]  # header is magic + u16 version + u32 count
     doubled = blob[:6] + struct.pack("<I", 2) + entry + entry
     with pytest.raises(FormatError, match="duplicate"):
-        load_container(doubled)
+        load_both(doubled)
 
 
 def test_container_bad_magic():
     with pytest.raises(FormatError, match="magic"):
-        load_container(b"ZZZZ" + container_bytes({"a": np.zeros(1)})[4:])
+        load_both(b"ZZZZ" + container_bytes({"a": np.zeros(1)})[4:])
 
 
 def test_container_truncated():
     blob = container_bytes({"a": np.zeros(3)})
     with pytest.raises(FormatError):
-        load_container(blob[:-4])
+        load_both(blob[:-4])
 
 
 def test_empty_container_roundtrip():
-    assert load_container(container_bytes({})) == {}
+    assert load_both(container_bytes({})) == {}
 
 
 def test_container_non_utf8_name_rejected():
     blob = bytearray(container_bytes({"w": np.zeros(2)}))
     blob[12] ^= 0xFF  # the name byte: 0x88 is no UTF-8 start byte
     with pytest.raises(FormatError, match="UTF-8"):
-        load_container(bytes(blob))
+        load_both(bytes(blob))
 
 
 @pytest.mark.parametrize("shape", [(2**62, 8), (2**64 - 1, 2**64 - 1), (0, 2**63), (1,) * 65])
@@ -165,7 +192,7 @@ def test_array_hostile_extents_rejected(shape):
     snapshot = b"RAST" + struct.pack("<HH", 1, len(shape)) + struct.pack(f"<{len(shape)}Q", *shape)
     blob = snapshot_bytes(np.zeros(0))[:SNAPSHOT_AT] + snapshot
     with pytest.raises(FormatError):
-        load_container(blob + bytes(64))
+        load_both(blob + bytes(64))
 
 
 SAMPLE_CONTAINER = container_bytes({
@@ -184,6 +211,26 @@ def test_container_byte_mutations_raise_only_format_error(edits, keep):
     for pos, value in edits:
         blob[pos] = value
     try:
-        load_container(bytes(blob[:keep]))
+        load_both(bytes(blob[:keep]))
     except FormatError:
         pass
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (0,), (3, 0), (2, 0, 5)])
+def test_zero_size_entries_roundtrip(shape):
+    # An empty meta.history is a (0, 4) entry: no payload bytes to read.
+    blob = container_bytes({"empty": np.zeros(shape), "after": np.array([1.5, -2.0])})
+    back = load_both(blob)
+    assert back["empty"].shape == shape and back["empty"].dtype == np.float64
+    assert back["after"].tolist() == [1.5, -2.0]
+    with pytest.raises(FormatError, match="truncated"):
+        load_both(blob[:-1])
+
+
+def test_reader_starts_at_the_file_position_and_reads_payloads_in_place():
+    blob = container_bytes({"w": np.arange(6.0).reshape(2, 3)})
+    f = io.BytesIO(b"junk" + blob)
+    f.seek(4)
+    back = load_container(f)["w"]
+    assert back.flags["OWNDATA"] and back.flags["WRITEABLE"]
+    assert back.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
