@@ -1,16 +1,18 @@
 """Command-line interface: synthesize data, train, evaluate, gradient-check.
 
 Configuration is a flat ``key = value`` schema: one key per field of the
-config dataclasses, with the fields' defaults (see ``settings``). A config file
-(``--config``) and inline overrides (``--set key=value``) resolve into one
-dictionary, which ``train`` records in the run's ``config.txt`` for ``eval``.
-Unknown keys, and a key given twice in one source, are rejected. Exit codes: 0 success, 1 usage/config
-problems, 2 data/format problems, 3 numeric failures.
+config dataclasses, with the fields' defaults. A config file (``--config``) and
+inline overrides (``--set key=value``) resolve into one dictionary, which
+``train`` records in the run's ``config.txt`` for ``eval``. ``settings`` holds
+the schema and the one reader and writer of ``key = value`` text. Unknown keys,
+and a key given twice in one source, are rejected. Exit codes: 0 success,
+1 usage/config problems, 2 data/format/file problems, 3 numeric failures.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -35,7 +37,7 @@ from .numerics import Tensor, dot
 from .numerics.gradcheck import gradcheck
 from .plots import line_plot_svg
 from .ras import RasConfig, encode_question, init_ras
-from .settings import build, flatten
+from .settings import build, flatten, pairs_text, read_pairs, split_pairs
 from .synth import SynthConfig, disagreement_cells, generate
 from .trainer import (
     HistoryRow,
@@ -65,7 +67,7 @@ def _coerce(key: str, raw: str) -> object:
     default = DEFAULTS[key]
     try:
         if isinstance(default, bool):
-            lowered = raw.strip().lower()
+            lowered = raw.lower()
             if lowered in ("true", "1", "yes", "on"):
                 return True
             if lowered in ("false", "0", "no", "off"):
@@ -78,7 +80,7 @@ def _coerce(key: str, raw: str) -> object:
             if not math.isfinite(value):
                 raise ValueError(f"not a finite number: {raw!r}")
             return value
-        return raw.strip()
+        return raw
     except ValueError as e:
         raise ConfigError(f"config key {key!r}: {e}") from None
 
@@ -88,54 +90,22 @@ def resolve_config(config_file: str | None = None,
     """The defaults, then the file's keys, then the ``--set`` keys. A key may be
     given once in the file and once among the ``--set`` flags."""
     cfg = dict(DEFAULTS)
-
-    def apply(key: str, value: str, where: str, seen: set[str]) -> None:
-        key = key.strip()
-        if key not in DEFAULTS:
-            raise ConfigError(f"unknown config key {key!r} ({where})")
-        if key in seen:
-            raise ConfigError(f"config key {key!r} given twice ({where})")
-        seen.add(key)
-        cfg[key] = _coerce(key, value)
-
+    sources = []
     if config_file is not None:
         path = Path(config_file)
         if not path.is_file():
             raise ConfigError(f"config file missing: {path}")
-        try:
-            text = path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as e:
-            raise ConfigError(f"{path}: not UTF-8 text at byte {e.start}") from None
-        in_file: set[str] = set()
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, _, value = line.partition("=")
-            apply(key, value, f"{path}:{lineno}", in_file)
-    in_flags: set[str] = set()
-    for item in overrides or []:
-        if "=" not in item:
-            raise ConfigError(f"--set needs key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        apply(key, value, "--set", in_flags)
+        sources.append(read_pairs(path, ConfigError))
+    sources.append(split_pairs((("--set", item) for item in overrides or []), ConfigError))
+    for where, key, value in itertools.chain(*sources):
+        if key not in DEFAULTS:
+            raise ConfigError(f"unknown config key {key!r} ({where})")
+        cfg[key] = _coerce(key, value)
     return cfg
 
 
 def config_to_text(cfg: dict[str, object]) -> str:
-    lines = []
-    for key in DEFAULTS:
-        value = cfg[key]
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, float):
-            text = repr(value)
-        else:
-            text = str(value)
-        lines.append(f"{key} = {text}")
-    return "\n".join(lines) + "\n"
+    return pairs_text((key, cfg[key]) for key in DEFAULTS)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +284,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "ROC (pooled validation folds)", "false positive rate",
             "true positive rate")
         (out_dir / "roc.svg").write_text(svg, encoding="utf-8")
-    except ContractError:
-        pass  # single-class pool: no curve to draw
+    except ContractError:  # single-class pool: no curve, and an earlier one would mislead
+        for name in ("roc.csv", "roc.svg"):
+            (out_dir / name).unlink(missing_ok=True)
     _print_aggregate(per_fold)
     return 0
 
@@ -500,7 +471,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ContractError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (FormatError, DataError) as e:
+    except (FormatError, DataError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

@@ -1,10 +1,10 @@
 """Screening dataset model and on-disk formats.
 
 A dataset is a directory holding one ``manifest.txt`` plus one frames file per
-(subject, question). The manifest is a deterministic ``key = value`` text
-file; floats are written with ``repr`` so save -> load -> save is
-byte-identical. Frames files hold face-cropped frames at the model's input
-size as raw 8-bit grayscale:
+(subject, question). The manifest is ``key = value`` text, read and written by
+``settings`` (the grammar config files use too); floats are written with
+``repr`` so save -> load -> save is byte-identical. Frames files hold
+face-cropped frames at the model's input size as raw 8-bit grayscale:
 
     magic "RASF" | u32 frame count | u32 height | u32 width | pixels row-major
 """
@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, FormatError
+from .settings import pairs_text, read_pairs
 
 __all__ = [
     "QUESTION_COUNT",
@@ -183,41 +184,22 @@ def load_question_frames(dataset: Dataset, subject: Subject, question_index: int
 
 
 def save_manifest(dataset: Dataset, path: Path | str) -> None:
-    lines = [
-        "format = sds-manifest",
-        "version = 1",
-        f"fps = {dataset.fps}",
-        f"height = {dataset.height}",
-        f"width = {dataset.width}",
-        f"subject_count = {len(dataset.subjects)}",
-        f"question_count = {QUESTION_COUNT}",
+    pairs: list[tuple[str, object]] = [
+        ("format", "sds-manifest"),
+        ("version", 1),
+        ("fps", dataset.fps),
+        ("height", dataset.height),
+        ("width", dataset.width),
+        ("subject_count", len(dataset.subjects)),
+        ("question_count", QUESTION_COUNT),
     ]
     for i, s in enumerate(dataset.subjects):
-        lines.append(f"subject.{i}.id = {s.subject_id}")
-        lines.append(f"subject.{i}.label = {s.label}")
-        lines.append(f"subject.{i}.choices = {','.join(str(c) for c in s.choices)}")
-        lines.append(f"subject.{i}.times = {','.join(repr(float(t)) for t in s.times)}")
-        lines.append(f"subject.{i}.frames = {','.join(s.frame_files)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _parse_pairs(text: str) -> dict[str, str]:
-    pairs: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise FormatError(f"manifest line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key:
-            raise FormatError(f"manifest line {lineno}: empty key")
-        if key in pairs:
-            raise FormatError(f"manifest line {lineno}: duplicate key {key!r}")
-        pairs[key] = value
-    return pairs
+        pairs += [(f"subject.{i}.id", s.subject_id),
+                  (f"subject.{i}.label", s.label),
+                  (f"subject.{i}.choices", ",".join(str(c) for c in s.choices)),
+                  (f"subject.{i}.times", ",".join(repr(float(t)) for t in s.times)),
+                  (f"subject.{i}.frames", ",".join(s.frame_files))]
+    Path(path).write_text(pairs_text(pairs), encoding="utf-8")
 
 
 def _pop(pairs: dict[str, str], key: str) -> str:
@@ -230,11 +212,7 @@ def load_manifest(path: Path | str) -> Dataset:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"manifest missing: {path}")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise FormatError(f"{path}: not UTF-8 text at byte {e.start}") from None
-    pairs = _parse_pairs(text)
+    pairs = {key: value for _, key, value in read_pairs(path, FormatError)}
     if _pop(pairs, "format") != "sds-manifest":
         raise FormatError("not a dataset manifest")
     if _pop(pairs, "version") != "1":

@@ -35,6 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .clipper import clip_stride
 from .errors import ConfigError, ContractError, ShapeError
 from .numerics import (
     Tensor,
@@ -84,8 +85,7 @@ def build_plan(input_hw: int, clip_len: int = 10, base_channels: int = 16,
     """Derive the stage structure for a square input of the given extent."""
     if base_channels < 1 or feature_dim < 1:
         raise ConfigError("base_channels and feature_dim must be positive")
-    if clip_len < 2 or clip_len % 2:
-        raise ConfigError(f"clip_len must be an even integer >= 2, got {clip_len}")
+    clip_stride(clip_len)  # refuses an odd clip_len or one below 2
     if input_hw < 4 or (input_hw - 2) % 2:
         raise ConfigError(
             f"input extent {input_hw} unsupported: extent - 2 must be even and >= 2 "

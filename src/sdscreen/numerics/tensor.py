@@ -378,33 +378,20 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim not in (1, 2) or b.data.ndim not in (1, 2):
-        raise ShapeError(f"matmul supports rank 1 or 2 operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != (b.shape[0] if b.data.ndim >= 1 else None):
+    """Matrix @ matrix or matrix @ vector; ``dot`` takes vector . vector."""
+    if a.data.ndim != 2 or b.data.ndim not in (1, 2):
+        raise ShapeError(f"matmul needs a 2-D left and a 1-D or 2-D right operand, "
+                         f"got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner extents differ ({a.shape} @ {b.shape})")
     data = a.data @ b.data
     a_data, b_data = a.data, b.data
 
     def bwd(g: np.ndarray) -> None:
-        ga = g
         if a.requires_grad:
-            if a_data.ndim == 2 and b_data.ndim == 2:
-                a.accumulate_grad(ga @ b_data.T)
-            elif a_data.ndim == 2 and b_data.ndim == 1:
-                a.accumulate_grad(np.outer(ga, b_data))
-            elif a_data.ndim == 1 and b_data.ndim == 2:
-                a.accumulate_grad(b_data @ ga)
-            else:  # 1-D @ 1-D
-                a.accumulate_grad(ga * b_data)
+            a.accumulate_grad(g @ b_data.T if b_data.ndim == 2 else np.outer(g, b_data))
         if b.requires_grad:
-            if a_data.ndim == 2 and b_data.ndim == 2:
-                b.accumulate_grad(a_data.T @ ga)
-            elif a_data.ndim == 2 and b_data.ndim == 1:
-                b.accumulate_grad(a_data.T @ ga)
-            elif a_data.ndim == 1 and b_data.ndim == 2:
-                b.accumulate_grad(np.outer(a_data, ga))
-            else:
-                b.accumulate_grad(ga * a_data)
+            b.accumulate_grad(a_data.T @ g)
 
     return _finish("matmul", data, (a, b), bwd)
 

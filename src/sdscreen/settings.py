@@ -1,13 +1,21 @@
-"""The settings schema: the config dataclasses' fields, as flat ``key = value`` keys.
+"""The settings schema, and the ``key = value`` text that config files,
+``config.txt`` and dataset manifests are written in.
 
 A field's key is its name, except for the fields in ``RENAMED``. A tuple field
 renamed to several keys takes one key per element.
+
+The text is UTF-8, one ``key = value`` pair a line; blank lines and lines
+starting with ``#`` are skipped, the key and value are stripped, and a line
+without ``=``, an empty key or a key an earlier line gave is refused. Each
+caller passes the error class to raise, so a bad config file exits 1 and a bad
+manifest exits 2.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import fields
+from pathlib import Path
 
 # (class name, field name) -> its keys, for the fields whose keys differ from their names.
 RENAMED = {("SynthConfig", "seed"): ("synth_seed",),
@@ -34,3 +42,41 @@ def build(cls: type, settings: Mapping[str, object]):
         values = tuple(settings[k] for k in _keys(cls, f.name))
         kwargs[f.name] = values if len(values) > 1 else values[0]
     return cls(**kwargs)
+
+
+def split_pairs(lines: Iterable[tuple[str, str]],
+                error: type[Exception]) -> Iterator[tuple[str, str, str]]:
+    """(where, key, value) for each ``(where, line)``; errors name ``where``."""
+    seen: set[str] = set()
+    for where, line in lines:
+        key, eq, value = line.partition("=")
+        key = key.strip()
+        if not eq:
+            raise error(f"{where}: expected 'key = value', got {line!r}")
+        if not key:
+            raise error(f"{where}: empty key")
+        if key in seen:
+            raise error(f"{where}: key {key!r} given twice")
+        seen.add(key)
+        yield where, key, value.strip()
+
+
+def read_pairs(path: Path, error: type[Exception]) -> Iterator[tuple[str, str, str]]:
+    """(``path:line``, key, value) for each pair of a ``key = value`` file."""
+    blob = path.read_bytes()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = blob.count(b"\n", 0, e.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 text at byte {e.start}") from None
+    lines = ((f"{path}:{n}", raw.strip()) for n, raw in enumerate(text.splitlines(), 1))
+    return split_pairs(((w, ln) for w, ln in lines if ln and not ln.startswith("#")), error)
+
+
+def pairs_text(pairs: Iterable[tuple[str, object]]) -> str:
+    """One ``key = value`` line per pair: booleans as true/false, floats by ``repr``."""
+    def text(value: object) -> str:
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return repr(value) if isinstance(value, float) else str(value)
+    return "".join(f"{key} = {text(value)}\n" for key, value in pairs)

@@ -8,8 +8,9 @@ threshold side, depressed and normal sums share one distribution), which pins
 the questionnaire-only baseline accuracy at exactly 1 - disagreement_rate.
 
 Video signal: every depressed subject gets a bright moving blob planted in a
-sparse subset of each question's clip windows; controls get none. Answering
-times are log-normal with a label-dependent median shift.
+sparse subset of each question's clip windows; controls get none. The windows
+follow ``clipper``'s clip rule, so a planted clip k is clip k of ``segment``.
+Answering times are log-normal with a label-dependent median shift.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .clipper import clip_count, clip_stride
 from .dataset import (
     QUESTION_COUNT,
     SDS_SUM_THRESHOLD,
@@ -88,8 +90,7 @@ class SynthConfig:
             raise ConfigError("time distribution parameters must be positive")
         if not self.noise_sigma >= 0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.clip_len < 2:
-            raise ConfigError(f"clip_len must be >= 2, got {self.clip_len}")
+        clip_stride(self.clip_len)  # refuses a clip_len no model accepts
         if self.seed < 0:
             raise ConfigError(f"synth_seed must be >= 0, got {self.seed}")
 
@@ -146,8 +147,7 @@ def _question_video(rng: np.random.Generator, cfg: SynthConfig, n_frames: int,
     if cfg.noise_sigma > 0:
         video += rng.normal(0.0, cfg.noise_sigma, size=video.shape)
     if plant:
-        stride = cfg.clip_len // 2
-        n_clips = (n_frames - cfg.clip_len) // stride + 1
+        stride, n_clips = clip_stride(cfg.clip_len), clip_count(n_frames, cfg.clip_len)
         fraction = rng.uniform(*_MOTIF_CLIP_FRACTION)
         n_pick = max(1, int(round(fraction * n_clips)))
         picked = rng.choice(n_clips, size=min(n_pick, n_clips), replace=False)

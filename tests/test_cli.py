@@ -15,14 +15,14 @@ from sdscreen.cli import (
     resolve_config,
     run_gradchecks,
 )
-from sdscreen.dataset import Dataset, Subject
+from sdscreen.dataset import Dataset, Subject, load_dataset
 from sdscreen.errors import ConfigError, DataError, NumericError
 from sdscreen.model import ModelConfig
 from sdscreen.numerics import load_container, write_container
 from sdscreen.ras import RasConfig
 from sdscreen.settings import build
 from sdscreen.synth import SynthConfig
-from sdscreen.trainer import TrainConfig
+from sdscreen.trainer import TrainConfig, fold_subject_sets
 
 TINY_CONFIG = """\
 # reduced geometry for tests
@@ -358,6 +358,52 @@ def test_missing_dataset_exits_two(config_file, tmp_path):
                  "--out", str(tmp_path / "o"), "--config", config_file]) == 2
 
 
+@pytest.mark.parametrize("line, says", [
+    (b"epochs 2\n", "expected 'key = value', got 'epochs 2'"),
+    (b" = 2\n", "empty key"),
+    (None, "key '{key}' given twice"),  # the first pair again
+    (b"seed = \xff\n", "not UTF-8 text at byte"),
+], ids=["no-equals", "empty-key", "repeated-key", "non-utf8"])
+@pytest.mark.parametrize("reader", ["config", "run-config", "manifest"])
+def test_key_value_grammar_is_one_for_every_file(reader, line, says, data_dir,
+                                                 tmp_path, capsys):
+    # --config files, a run's config.txt and manifest.txt share one reader.
+    key, value = ("format", "sds-manifest") if reader == "manifest" else ("epochs", "2")
+    first = f"{key} = {value}\n".encode()
+    where, out = tmp_path / "in", tmp_path / "out"
+    where.mkdir()
+    path, command, code = {
+        "config": (where / "bad.cfg", ["synth", "--out", str(out)], 1),
+        "run-config": (where / "config.txt", ["eval", "--data", data_dir, "--run", str(where),
+                                              "--out", str(out)], 1),
+        "manifest": (where / "manifest.txt", ["eval", "--data", str(where),
+                                              "--baseline", "sds-sum"], 2),
+    }[reader]
+    if reader == "config":
+        command += ["--config", str(path)]
+    path.write_bytes(b"# a comment and a blank line\n\n" + first + (line or first))
+    assert main(command) == code
+    assert f"{path}:4: {says.format(key=key)}" in one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_synth_refuses_a_clip_len_no_model_accepts(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out), "--set", "clip_len=5"]) == 1
+    assert "clip_len must be an even integer >= 2, got 5" in one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_output_path_that_is_a_file_exits_two(command, config_file, data_dir, run_dir,
+                                              tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    source = ["--config", config_file] if command == "train" else ["--run", str(run_dir)]
+    assert main([command, "--data", data_dir, "--out", str(taken), *source]) == 2
+    assert f"File exists: '{taken}'" in one_error_line(capsys)
+
+
 def test_corrupt_manifest_exits_two(data_dir, tmp_path):
     broken = tmp_path / "broken"
     shutil.copytree(data_dir, broken)
@@ -569,6 +615,21 @@ def test_eval_writes_reports(data_dir, run_dir, tmp_path, capsys):
     assert roc[0] == "threshold,fpr,tpr"
     assert (report / "roc.svg").read_text().startswith("<svg")
     assert "accuracy" in capsys.readouterr().out
+
+
+def test_single_class_eval_removes_earlier_roc_files(config_file, data_dir, tmp_path):
+    run = tmp_path / "run"
+    assert main(["train", "--data", data_dir, "--out", str(run), "--config", config_file,
+                 "--set", "folds=4", "--set", "epochs=0"]) == 0
+    assert main(["eval", "--data", data_dir, "--run", str(run)]) == 0
+    assert (run / "roc.csv").is_file() and (run / "roc.svg").is_file()
+    dataset = load_dataset(data_dir)
+    one_class = next(k for k in range(4)
+                     if len({s.label for s in fold_subject_sets(dataset, 4, 0, k)[1]}) == 1)
+    assert main(["eval", "--data", data_dir, "--run", str(run),
+                 "--fold", str(one_class)]) == 0
+    assert (run / "metrics.csv").read_text().splitlines()[1].startswith(f"{one_class},")
+    assert not (run / "roc.csv").exists() and not (run / "roc.svg").exists()
 
 
 def test_eval_missing_checkpoint_exits_two(data_dir, run_dir, tmp_path, capsys):

@@ -171,7 +171,10 @@ def test_matmul_shapes_and_errors():
     b = Tensor(np.ones((3, 4)))
     assert matmul(a, b).shape == (2, 4)
     assert matmul(a, Tensor(np.ones(3))).shape == (2,)
-    assert matmul(Tensor(np.ones(2)), a).shape == (3,)
+    with pytest.raises(ShapeError):  # a 1-D left operand: vector . vector is dot's
+        matmul(Tensor(np.ones(2)), a)
+    with pytest.raises(ShapeError):
+        matmul(Tensor(np.ones(3)), Tensor(np.ones(3)))
     with pytest.raises(ShapeError):
         matmul(a, Tensor(np.ones((2, 2))))
     with pytest.raises(ShapeError):
