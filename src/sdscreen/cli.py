@@ -40,6 +40,7 @@ from .ras import RasConfig, encode_question, init_ras
 from .settings import build, flatten, pairs_text, read_pairs, split_pairs
 from .synth import SynthConfig, disagreement_cells, generate
 from .trainer import (
+    METRIC_KEYS,
     HistoryRow,
     TrainConfig,
     evaluate_metrics,
@@ -63,7 +64,7 @@ DEFAULTS: dict[str, object] = {
 }
 
 
-def _coerce(key: str, raw: str) -> object:
+def _coerce(where: str, key: str, raw: str) -> object:
     default = DEFAULTS[key]
     try:
         if isinstance(default, bool):
@@ -82,7 +83,7 @@ def _coerce(key: str, raw: str) -> object:
             return value
         return raw
     except ValueError as e:
-        raise ConfigError(f"config key {key!r}: {e}") from None
+        raise ConfigError(f"{where}: config key {key!r}: {e}") from None
 
 
 def resolve_config(config_file: str | None = None,
@@ -100,7 +101,7 @@ def resolve_config(config_file: str | None = None,
     for where, key, value in itertools.chain(*sources):
         if key not in DEFAULTS:
             raise ConfigError(f"unknown config key {key!r} ({where})")
-        cfg[key] = _coerce(key, value)
+        cfg[key] = _coerce(where, key, value)
     return cfg
 
 
@@ -159,13 +160,12 @@ def _write_curves(out_dir: Path, histories: dict[int, list[HistoryRow]]) -> None
 
 
 def _print_aggregate(per_fold: dict[int, dict[str, float]]) -> None:
-    keys = ("accuracy", "sensitivity", "specificity", "auc")
     for fold in sorted(per_fold):
         row = per_fold[fold]
-        cells = ", ".join(f"{k} {row[k]:.4f}" for k in keys)
+        cells = ", ".join(f"{k} {row[k]:.4f}" for k in METRIC_KEYS)
         print(f"fold {fold}: {cells}")
     if len(per_fold) > 1:
-        for k in keys:
+        for k in METRIC_KEYS:
             values = np.array([per_fold[f][k] for f in sorted(per_fold)])
             print(f"{k}: {values.mean():.4f} +/- {values.std():.4f}")
 
@@ -233,7 +233,7 @@ def _baseline_report(dataset: Dataset, threshold: float) -> int:
     probs = np.array([float(sds_sum_classify(s.choices)) for s in dataset.subjects])
     metrics = evaluate_metrics(probs, dataset.labels, threshold)
     print("questionnaire-sum baseline (threshold 50, whole set):")
-    for key in ("accuracy", "sensitivity", "specificity", "auc"):
+    for key in METRIC_KEYS:
         print(f"{key}: {metrics[key]:.4f}")
     return 0
 
@@ -263,14 +263,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         pooled_labels.extend(s.label for s in val_subjects)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    keys = ("accuracy", "sensitivity", "specificity", "auc")
-    lines = ["fold," + ",".join(keys)]
+    lines = ["fold," + ",".join(METRIC_KEYS)]
     for fold in sorted(per_fold):
-        lines.append(f"{fold}," + ",".join(repr(float(per_fold[fold][k])) for k in keys))
+        lines.append(f"{fold}," + ",".join(repr(float(per_fold[fold][k])) for k in METRIC_KEYS))
     if len(per_fold) > 1:
-        stacked = {k: np.array([per_fold[f][k] for f in sorted(per_fold)]) for k in keys}
-        lines.append("mean," + ",".join(repr(float(stacked[k].mean())) for k in keys))
-        lines.append("sd," + ",".join(repr(float(stacked[k].std())) for k in keys))
+        stacked = {k: np.array([per_fold[f][k] for f in sorted(per_fold)]) for k in METRIC_KEYS}
+        lines.append("mean," + ",".join(repr(float(stacked[k].mean())) for k in METRIC_KEYS))
+        lines.append("sd," + ",".join(repr(float(stacked[k].std())) for k in METRIC_KEYS))
     (out_dir / "metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     try:

@@ -7,10 +7,14 @@ A dataset is a directory holding one ``manifest.txt`` plus one frames file per
 face-cropped frames at the model's input size as raw 8-bit grayscale:
 
     magic "RASF" | u32 frame count | u32 height | u32 width | pixels row-major
+
+One check, run by ``load_dataset`` and again by each read, covers a frames
+file: the magic, extents >= 1 and a size of 16 + N*H*W; its errors name the file.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,8 +30,6 @@ __all__ = [
     "Dataset",
     "sds_raw_sum",
     "sds_sum_classify",
-    "dump_frames",
-    "load_frames",
     "save_frames",
     "read_frames",
     "save_manifest",
@@ -81,7 +83,7 @@ class Dataset:
     height: int
     width: int
     subjects: list[Subject]
-    root: Path | None = None
+    root: Path  # the directory the frames files are in
     # The fewest frames of any question video; None until the headers are read.
     min_frames: int | None = None
 
@@ -122,7 +124,7 @@ def sds_sum_classify(choices: tuple[int, ...], threshold: int = SDS_SUM_THRESHOL
 # frames files
 
 
-def dump_frames(frames: np.ndarray) -> bytes:
+def save_frames(path: Path | str, frames: np.ndarray) -> None:
     if frames.ndim != 3:
         raise DataError(f"frames array must be (N, H, W), got shape {frames.shape}")
     if frames.dtype != np.uint8:
@@ -131,51 +133,40 @@ def dump_frames(frames: np.ndarray) -> bytes:
     if n < 1 or h < 1 or w < 1:
         raise DataError(f"frames array extents must be positive, got {frames.shape}")
     header = FRAMES_MAGIC + struct.pack("<III", n, h, w)
-    return header + np.ascontiguousarray(frames).tobytes(order="C")
+    Path(path).write_bytes(header + np.ascontiguousarray(frames).tobytes(order="C"))
 
 
-def _frames_header(blob: bytes, where: str = "") -> tuple[int, int, int]:
-    """(frame count, height, width) from the first 16 bytes, each at least 1;
-    errors start with ``where``."""
-    if len(blob) < 4 or blob[:4] != FRAMES_MAGIC:
-        raise FormatError(f"{where}bad frames file magic at offset 0")
-    if len(blob) < 16:
-        raise FormatError(f"{where}frames header truncated at offset {len(blob)}")
-    n, h, w = struct.unpack("<III", blob[4:16])
+def _frames_header(path: Path, head: bytes, size: int) -> tuple[int, int, int]:
+    """(frame count, height, width) of the ``size``-byte frames file at ``path``
+    from its first 16 bytes ``head``; every error names ``path``."""
+    if head[:4] != FRAMES_MAGIC:
+        raise FormatError(f"{path}: bad frames file magic at offset 0")
+    if len(head) < 16:
+        raise FormatError(f"{path}: frames header truncated at offset {len(head)}")
+    n, h, w = struct.unpack("<III", head[4:16])
     if n < 1 or h < 1 or w < 1:
-        raise FormatError(f"{where}frames header declares empty extents at offset 4")
+        raise FormatError(f"{path}: frames header declares empty extents at offset 4")
+    expected = 16 + n * h * w
+    if size != expected:
+        raise FormatError(f"{path}: frames payload ends at offset {size}, expected "
+                          f"{expected} for {n} frames of {h}x{w}")
     return n, h, w
 
 
-def load_frames(blob: bytes) -> np.ndarray:
-    """(N, H, W) uint8 frames: a read-only view of ``blob``, which it keeps alive."""
-    n, h, w = _frames_header(blob)
-    expected = 16 + n * h * w
-    if len(blob) != expected:
-        raise FormatError(
-            f"frames payload ends at offset {len(blob)}, expected {expected} "
-            f"for {n} frames of {h}x{w}"
-        )
-    return np.frombuffer(blob, np.uint8, count=n * h * w, offset=16).reshape(n, h, w)
-
-
-def save_frames(path: Path | str, frames: np.ndarray) -> None:
-    Path(path).write_bytes(dump_frames(frames))
-
-
 def read_frames(path: Path | str) -> np.ndarray:
+    """(N, H, W) uint8 frames: a read-only view of the file's bytes, read in one call."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"frames file missing: {path}")
-    return load_frames(path.read_bytes())
+    blob = path.read_bytes()
+    n, h, w = _frames_header(path, blob[:16], len(blob))
+    return np.frombuffer(blob, np.uint8, count=n * h * w, offset=16).reshape(n, h, w)
 
 
 def load_question_frames(dataset: Dataset, subject: Subject, question_index: int) -> np.ndarray:
     """Read the recorded frames for one question of one subject."""
     if not 0 <= question_index < QUESTION_COUNT:
         raise DataError(f"question index {question_index} outside 0..{QUESTION_COUNT - 1}")
-    if dataset.root is None:
-        raise DataError("dataset has no root directory; frames are not on disk")
     return read_frames(dataset.root / subject.frame_files[question_index])
 
 
@@ -209,10 +200,19 @@ def _pop(pairs: dict[str, str], key: str) -> str:
 
 
 def load_manifest(path: Path | str) -> Dataset:
+    """The dataset a manifest describes; errors past the ``key = value``
+    grammar start with the manifest's path."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"manifest missing: {path}")
     pairs = {key: value for _, key, value in read_pairs(path, FormatError)}
+    try:
+        return _parse_manifest(pairs, path.parent)
+    except (FormatError, DataError) as e:
+        raise type(e)(f"{path}: {e}") from None
+
+
+def _parse_manifest(pairs: dict[str, str], root: Path) -> Dataset:
     if _pop(pairs, "format") != "sds-manifest":
         raise FormatError("not a dataset manifest")
     if _pop(pairs, "version") != "1":
@@ -245,15 +245,15 @@ def load_manifest(path: Path | str) -> Dataset:
     if pairs:
         raise FormatError(f"manifest has unknown keys: {sorted(pairs)}")
 
-    return Dataset(fps=fps, height=height, width=width, subjects=subjects, root=path.parent)
+    return Dataset(fps=fps, height=height, width=width, subjects=subjects, root=root)
 
 
 def load_dataset(root: Path | str) -> Dataset:
     """Load a dataset directory and check every frames reference is usable.
 
-    Each referenced file must exist and its header must declare the manifest's
-    frame extents. The fewest frames any header declares is kept as
-    ``min_frames``.
+    Each referenced file must exist, pass the frames check on its header and
+    size, and declare the manifest's frame extents. The fewest frames any
+    header declares is kept as ``min_frames``. No pixels are read here.
     """
     root = Path(root)
     dataset = load_manifest(root / "manifest.txt")
@@ -264,8 +264,7 @@ def load_dataset(root: Path | str) -> Dataset:
             if not path.is_file():
                 raise DataError(f"subject {s.subject_id}: frames file missing: {name}")
             with open(path, "rb") as fh:
-                header = fh.read(16)
-            n, h, w = _frames_header(header, f"{name}: ")
+                n, h, w = _frames_header(path, fh.read(16), os.fstat(fh.fileno()).st_size)
             if (h, w) != (dataset.height, dataset.width):
                 raise DataError(
                     f"subject {s.subject_id}: {name} holds {h}x{w} frames, "

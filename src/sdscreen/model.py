@@ -16,7 +16,7 @@ moments, the finished epochs' history rows and the model config it was trained w
 from __future__ import annotations
 
 import os
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -137,15 +137,13 @@ def named_parameters(params: ModelParams) -> list[tuple[str, Tensor]]:
 
 @dataclass
 class SubjectVideo:
-    """Raw per-question frames kept in memory (uint8), segmented on demand."""
+    """One subject's per-question uint8 frames, segmented on demand."""
 
-    frames: list[np.ndarray] = field(default_factory=list)
+    frames: list[np.ndarray]
 
 
 def load_subject_video(dataset: Dataset, subject: Subject) -> SubjectVideo:
-    return SubjectVideo(frames=[
-        load_question_frames(dataset, subject, q) for q in range(QUESTION_COUNT)
-    ])
+    return SubjectVideo([load_question_frames(dataset, subject, q) for q in range(QUESTION_COUNT)])
 
 
 def _question_features(params: ModelParams, video: SubjectVideo) -> list[Tensor]:

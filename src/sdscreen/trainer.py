@@ -4,6 +4,8 @@ Reproducibility contract: everything random derives from (master seed, epoch)
 or (master seed, purpose) seed sequences, parameters update in the fixed
 ``named_parameters`` order, and history rows serialize floats with ``repr``,
 so identical runs produce byte-identical artifacts.
+A fold reads a subject's frames for each forward and drops them after it, so
+a training step holds one batch's frames however many subjects the fold has.
 """
 
 from __future__ import annotations
@@ -154,38 +156,39 @@ def history_to_csv(rows: list[HistoryRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _subject_video(dataset: Dataset, subject: Subject, needs_video: bool) -> SubjectVideo | None:
+    """The subject's frames, read from disk now; None when no head sees video."""
+    return load_subject_video(dataset, subject) if needs_video else None
+
+
 def load_videos(dataset: Dataset, subjects: list[Subject],
                 needs_video: bool) -> dict[str, SubjectVideo | None]:
-    if not needs_video:
-        return {s.subject_id: None for s in subjects}
-    return {s.subject_id: load_subject_video(dataset, s) for s in subjects}
+    """Every subject's video at once. The fold never holds this dict; it is
+    for callers that screen one set many times, as the benchmark's set-up does."""
+    return {s.subject_id: _subject_video(dataset, s, needs_video) for s in subjects}
 
 
-def evaluate_probs(params: ModelParams, subjects: list[Subject],
-                   videos: dict[str, SubjectVideo | None]) -> np.ndarray:
+def evaluate_probs(dataset: Dataset, params: ModelParams, subjects: list[Subject]) -> np.ndarray:
     """Forward every subject without recording gradients."""
-    probs = []
-    for s in subjects:
-        pred = subject_forward(params, s, videos[s.subject_id])
-        probs.append(pred.p.item())
-    return np.array(probs)
+    needs_video = params.config.needs_video
+    return np.array([subject_forward(params, s, _subject_video(dataset, s, needs_video)).p.item()
+                     for s in subjects])
+
+
+METRIC_KEYS = ("accuracy", "sensitivity", "specificity", "auc")
 
 
 def evaluate_metrics(probs: np.ndarray, labels: np.ndarray,
                      threshold: float = 0.5) -> dict[str, float]:
-    """Metrics dict; undefined entries become NaN instead of raising."""
+    """The METRIC_KEYS metrics; undefined entries become NaN instead of raising."""
     counts = confusion(probs, labels, threshold)
     report: dict[str, float] = {}
-    for key, fn in (("accuracy", accuracy), ("sensitivity", sensitivity),
-                    ("specificity", specificity)):
+    for key, fn in zip(METRIC_KEYS, (accuracy, sensitivity, specificity,
+                                     lambda _: roc_auc(probs, labels))):
         try:
             report[key] = fn(counts)
         except UndefinedMetricError:
             report[key] = float("nan")
-    try:
-        report["auc"] = roc_auc(probs, labels)
-    except UndefinedMetricError:
-        report["auc"] = float("nan")
     return report
 
 
@@ -195,8 +198,7 @@ def screen_fold(dataset: Dataset, params: ModelParams, subjects: list[Subject],
     """(probabilities, metrics) of a fold's subjects, screened with ``params``
     unless ``probs`` already holds their probabilities."""
     if probs is None:
-        videos = load_videos(dataset, subjects, params.config.needs_video)
-        probs = evaluate_probs(params, subjects, videos)
+        probs = evaluate_probs(dataset, params, subjects)
     labels = np.array([s.label for s in subjects])
     return probs, evaluate_metrics(probs, labels, threshold)
 
@@ -226,8 +228,7 @@ def train(dataset: Dataset, params: ModelParams, train_subjects: list[Subject],
     if len(history) >= cfg.epochs:
         return state, history, None
 
-    train_videos = load_videos(dataset, train_subjects, params.config.needs_video)
-    val_videos = load_videos(dataset, val_subjects, params.config.needs_video)
+    needs_video = params.config.needs_video
     val_labels = np.array([s.label for s in val_subjects])
 
     val_probs = None
@@ -242,7 +243,7 @@ def train(dataset: Dataset, params: ModelParams, train_subjects: list[Subject],
             with Tape() as tape:
                 losses = []
                 for s in batch:
-                    pred = subject_forward(params, s, train_videos[s.subject_id])
+                    pred = subject_forward(params, s, _subject_video(dataset, s, needs_video))
                     epoch_probs[s.subject_id] = pred.p.item()
                     losses.append(bce_loss(pred.p, s.label))
                 batch_loss = mean_over_set(losses)
@@ -255,7 +256,7 @@ def train(dataset: Dataset, params: ModelParams, train_subjects: list[Subject],
         train_labels = np.array([s.label for s in train_subjects])
         train_acc = float((train_pred == train_labels).mean())
         if val_subjects:
-            val_probs = evaluate_probs(params, val_subjects, val_videos)
+            val_probs = evaluate_probs(dataset, params, val_subjects)
             val_acc = float(((val_probs > cfg.threshold) == val_labels).mean())
         else:
             val_acc = float("nan")

@@ -17,7 +17,8 @@ from sdscreen.cli import (
 )
 from sdscreen.dataset import Dataset, Subject, load_dataset
 from sdscreen.errors import ConfigError, DataError, NumericError
-from sdscreen.model import ModelConfig
+from sdscreen import trainer
+from sdscreen.model import ModelConfig, init_model, load_checkpoint
 from sdscreen.numerics import load_container, write_container
 from sdscreen.ras import RasConfig
 from sdscreen.settings import build
@@ -208,8 +209,8 @@ SUBJECT = dict(subject_id="s0001", label=1, choices=(2,) * 20, times=(3.0,) * 20
     (RasConfig, {}, {"sigma": 0.0}),
     (TrainConfig, {}, {"folds": 1}),
     (Subject, SUBJECT, {"label": 2}),
-    (Dataset, {"fps": 5, "height": 8, "width": 8, "subjects": [Subject(**SUBJECT)]},
-     {"subjects": []}),
+    (Dataset, {"fps": 5, "height": 8, "width": 8, "subjects": [Subject(**SUBJECT)],
+               "root": Path("unused")}, {"subjects": []}),
 ], ids=["SynthConfig", "ModelConfig", "RasConfig", "TrainConfig", "Subject", "Dataset"])
 def test_configs_and_records_refuse_a_bad_value_when_built(cls, kwargs, bad):
     error = DataError if cls in (Subject, Dataset) else ConfigError
@@ -385,6 +386,85 @@ def test_key_value_grammar_is_one_for_every_file(reader, line, says, data_dir,
     assert main(command) == code
     assert f"{path}:4: {says.format(key=key)}" in one_error_line(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["config", "set", "run-config"])
+def test_bad_config_value_names_its_source(source, data_dir, run_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    if source == "config":
+        path = tmp_path / "bad.cfg"
+        path.write_text("# epochs as a word\nepochs = soon\n")
+        command, where = ["synth", "--out", str(out), "--config", str(path)], f"{path}:2"
+    elif source == "set":
+        command, where = ["synth", "--out", str(out), "--set", "epochs=soon"], "--set"
+    else:  # a hand-edited config.txt
+        edited = tmp_path / "edited"
+        shutil.copytree(run_dir, edited)
+        path = edited / "config.txt"
+        lines = path.read_text().splitlines()
+        line = lines.index("epochs = 1")
+        lines[line] = "epochs = soon"
+        path.write_text("\n".join(lines) + "\n")
+        command = ["eval", "--data", data_dir, "--run", str(edited), "--out", str(out)]
+        where = f"{path}:{line + 1}"
+    assert main(command) == 1
+    assert one_error_line(capsys).startswith(f"error: {where}: config key 'epochs': invalid")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, says", [
+    (lambda text: text + "mystery = 1\n", "manifest has unknown keys: ['mystery']"),
+    (lambda text: text.replace("format = sds-manifest", "format = other"),
+     "not a dataset manifest"),
+    (lambda text: text.replace("version = 1", "version = 2"), "unsupported manifest version"),
+    (lambda text: text.replace("fps = 1\n", ""), "manifest missing key 'fps'"),
+    (lambda text: re.sub(r"subject\.0\.label = \d", "subject.0.label = no", text),
+     "manifest subject 0: invalid literal"),
+], ids=["unknown-key", "format", "version", "missing-key", "subject"])
+def test_manifest_errors_name_the_manifest(edit, says, data_dir, tmp_path, capsys):
+    broken = tmp_path / "broken"
+    shutil.copytree(data_dir, broken)
+    manifest = broken / "manifest.txt"
+    manifest.write_text(edit(manifest.read_text()))
+    assert main(["eval", "--data", str(broken), "--baseline", "sds-sum"]) == 2
+    assert one_error_line(capsys).startswith(f"error: {manifest}: {says}")
+
+
+def test_train_refuses_a_truncated_frames_payload(config_file, data_dir, tmp_path, capsys):
+    broken = tmp_path / "broken"
+    shutil.copytree(data_dir, broken)
+    frames = broken / load_dataset(broken).subjects[3].frame_files[5]
+    frames.write_bytes(frames.read_bytes()[:-7])
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(broken), "--out", str(out),
+                 "--config", config_file]) == 2
+    assert f"error: {frames}: frames payload ends at offset" in one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_frames_damaged_after_an_epoch_stop_train_naming_the_file(config_file, data_dir,
+                                                                   tmp_path, capsys,
+                                                                   monkeypatch):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    train_subjects, _ = fold_subject_sets(load_dataset(data), 2, 0, 0)
+    damaged = data / train_subjects[0].frame_files[0]
+    save_checkpoint = trainer.save_checkpoint
+
+    def save_then_damage(*args):
+        save_checkpoint(*args)
+        damaged.write_bytes(damaged.read_bytes()[:-7])
+
+    monkeypatch.setattr(trainer, "save_checkpoint", save_then_damage)
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(out), "--config", config_file,
+                 "--fold", "0", "--set", "epochs=2"]) == 2
+    monkeypatch.undo()
+    assert f"error: {damaged}: frames payload ends at offset" in one_error_line(capsys)
+    # Epoch 2 read the damaged file; epoch 1's checkpoint is whole.
+    params = init_model(build(ModelConfig, resolve_config(config_file)))
+    _, _, _, history = load_checkpoint(out / "fold0.ckpt", params)
+    assert [r.epoch for r in history] == [1]
 
 
 def test_synth_refuses_a_clip_len_no_model_accepts(tmp_path, capsys):

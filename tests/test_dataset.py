@@ -1,6 +1,8 @@
 """Dataset model: manifest text format, frame files, validation, sum rule."""
 
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +13,7 @@ from sdscreen.cli import main
 from sdscreen.dataset import (
     Dataset,
     Subject,
-    dump_frames,
     load_dataset,
-    load_frames,
     load_manifest,
     load_question_frames,
     read_frames,
@@ -50,7 +50,7 @@ def balanced_choices(total):
     return choices
 
 
-def make_dataset(n=2, root=None):
+def make_dataset(n=2, root=Path("unused")):
     subjects = [make_subject(i, label=i % 2) for i in range(n)]
     return Dataset(fps=5, height=8, width=8, subjects=subjects, root=root)
 
@@ -88,43 +88,56 @@ def test_subject_validation():
 def test_dataset_validation_catches_duplicate_ids():
     d = make_dataset(2)
     with pytest.raises(DataError):
-        Dataset(fps=5, height=8, width=8, subjects=[d.subjects[0], d.subjects[0]])
+        Dataset(fps=5, height=8, width=8, subjects=[d.subjects[0], d.subjects[0]],
+                root=d.root)
 
 
-def test_frames_roundtrip_bitexact():
+def frames_file(tmp_path, frames, edit=lambda blob: blob):
+    """The path of a frames file holding ``frames``, its bytes passed through ``edit``."""
+    path = tmp_path / "clip.rasf"
+    save_frames(path, frames)
+    path.write_bytes(edit(path.read_bytes()))
+    return path
+
+
+def test_frames_roundtrip_bitexact(tmp_path):
     r = np.random.default_rng(3)
     frames = r.integers(0, 256, size=(12, 6, 7)).astype(np.uint8)
-    blob = dump_frames(frames)
-    back = load_frames(blob)
+    path = frames_file(tmp_path, frames)
+    back = read_frames(path)
     assert back.dtype == np.uint8
     assert np.array_equal(back, frames)
     # A read-only view of the file's bytes: reading makes no copy of its own.
     assert not back.flags.writeable
-    assert np.shares_memory(back, np.frombuffer(blob, np.uint8))
+    owner = back
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    assert isinstance(owner, bytes) and len(owner) == path.stat().st_size
 
 
-def test_frames_bad_magic_names_offset():
-    blob = b"BAD!" + dump_frames(np.zeros((1, 2, 2), np.uint8))[4:]
-    with pytest.raises(FormatError, match="offset 0"):
-        load_frames(blob)
+def test_frames_bad_magic_names_offset(tmp_path):
+    path = frames_file(tmp_path, np.zeros((1, 2, 2), np.uint8), lambda b: b"BAD!" + b[4:])
+    with pytest.raises(FormatError, match=re.escape(f"{path}: bad frames file magic at offset 0")):
+        read_frames(path)
 
 
-def test_frames_truncation_names_offsets():
-    blob = dump_frames(np.zeros((2, 3, 3), np.uint8))
-    with pytest.raises(FormatError, match="offset"):
-        load_frames(blob[:-1])
+def test_frames_truncation_names_offsets(tmp_path):
+    path = frames_file(tmp_path, np.zeros((2, 3, 3), np.uint8), lambda b: b[:-1])
+    says = f"{path}: frames payload ends at offset 33, expected 34 for 2 frames of 3x3"
+    with pytest.raises(FormatError, match=re.escape(says)):
+        read_frames(path)
 
 
-def test_frames_trailing_bytes_rejected():
-    blob = dump_frames(np.zeros((1, 2, 2), np.uint8))
-    with pytest.raises(FormatError):
-        load_frames(blob + b"x")
+def test_frames_trailing_bytes_rejected(tmp_path):
+    path = frames_file(tmp_path, np.zeros((1, 2, 2), np.uint8), lambda b: b + b"x")
+    with pytest.raises(FormatError, match=re.escape(str(path))):
+        read_frames(path)
 
 
 def test_frames_file_roundtrip(tmp_path):
     frames = np.arange(2 * 3 * 4, dtype=np.uint8).reshape(2, 3, 4)
-    path = tmp_path / "clip.rasf"
-    save_frames(path, frames)
+    path = frames_file(tmp_path, frames)
+    assert path.read_bytes() == b"RASF" + struct.pack("<III", 2, 3, 4) + bytes(range(24))
     assert np.array_equal(read_frames(path), frames)
 
 
@@ -204,14 +217,21 @@ def mutate(blob, edits, keep):
     return bytes(out[:keep])
 
 
-SAMPLE_FRAMES = dump_frames(np.arange(3 * 4 * 5, dtype=np.uint8).reshape(3, 4, 5))
+@pytest.fixture(scope="module")
+def frames_blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("frames") / "clip.rasf"
+    save_frames(path, np.arange(3 * 4 * 5, dtype=np.uint8).reshape(3, 4, 5))
+    return path, path.read_bytes()
 
 
-@given(*byte_edits(SAMPLE_FRAMES))
+@given(data=st.data())
 @settings(max_examples=300, deadline=None)
-def test_frames_byte_mutations_raise_only_format_or_data_error(edits, keep):
+def test_frames_byte_mutations_raise_only_format_or_data_error(frames_blob, data):
+    path, blob = frames_blob
+    edits, keep = (data.draw(strategy) for strategy in byte_edits(blob))
+    path.write_bytes(mutate(blob, edits, keep))
     try:
-        load_frames(mutate(SAMPLE_FRAMES, edits, keep))
+        read_frames(path)
     except (FormatError, DataError):
         pass
 

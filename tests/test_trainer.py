@@ -1,6 +1,8 @@
 """Adam update rule, fold splitting, the epoch loop, resume, determinism."""
 
+import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from sdscreen import trainer
 from sdscreen.errors import ConfigError, NumericError
 from sdscreen.model import (
     ModelConfig,
+    SubjectVideo,
     init_model,
     load_checkpoint,
     load_subject_video,
@@ -281,7 +284,7 @@ def checkpoint_metrics(dataset, out_dir, cfg):
     params = init_model(TINY_MODEL)
     load_checkpoint(out_dir / "fold0.ckpt", params)
     _, val = fold_subject_sets(dataset, cfg.folds, cfg.seed, 0)
-    probs = evaluate_probs(params, val, load_videos(dataset, val, needs_video=True))
+    probs = evaluate_probs(dataset, params, val)
     return evaluate_metrics(probs, np.array([s.label for s in val]), cfg.threshold)
 
 
@@ -310,28 +313,71 @@ def test_run_fold_metrics_match_checkpoint(tiny_dataset, tmp_path, monkeypatch, 
 
 
 @pytest.mark.parametrize("case", ["trained", "no_epochs", "resumed_finished"])
-def test_run_fold_loads_each_video_once(tiny_dataset, tmp_path, monkeypatch, case):
+def test_run_fold_reads_a_video_for_each_forward(tiny_dataset, tmp_path, monkeypatch, case):
     epochs = 0 if case == "no_epochs" else 2
     cfg = TrainConfig(epochs=epochs, batch_size=2, lr=1e-2, seed=5, folds=4)
     if case == "resumed_finished":
         run_fold(tiny_dataset, TINY_MODEL, cfg, 0, tmp_path)
-    loads = []
+    calls = []
 
     def counted_load(dataset, subject):
-        loads.append(subject.subject_id)
+        calls.append(("read", subject.subject_id))
         return load_subject_video(dataset, subject)
 
+    def counted_forward(params, subject, video):
+        calls.append(("forward", subject.subject_id))
+        return subject_forward(params, subject, video)
+
     monkeypatch.setattr(trainer, "load_subject_video", counted_load)
+    monkeypatch.setattr(trainer, "subject_forward", counted_forward)
     _, metrics = run_fold(tiny_dataset, TINY_MODEL, cfg, 0, tmp_path,
                           resume=case == "resumed_finished")
     monkeypatch.undo()
 
     np.testing.assert_equal(metrics, checkpoint_metrics(tiny_dataset, tmp_path, cfg))
-    train_s, val_s = fold_subject_sets(tiny_dataset, cfg.folds, cfg.seed, 0)
-    # Training loads all 8 videos once; with no epoch to run only the 2
-    # validation videos are loaded, once each, for the fold's metrics.
-    wanted = train_s + val_s if case == "trained" else val_s
-    assert sorted(loads) == sorted(s.subject_id for s in wanted)
+    # Each forward reads its subject's frames right before it runs: 2 epochs
+    # of 6 training and 2 validation subjects, or the 2 validation subjects
+    # once for the fold's metrics when no epoch runs.
+    forwards = [sid for kind, sid in calls if kind == "forward"]
+    assert calls == [(kind, sid) for sid in forwards for kind in ("read", "forward")]
+    assert len(forwards) == (2 * (6 + 2) if case == "trained" else 2)
+
+
+def test_screening_memory_does_not_grow_with_the_subject_count(tmp_path):
+    # Every question video has 16 frames of 22x22, so every subject reads the
+    # same 155 kB, well above the interpreter's own per-forward allocations.
+    data = generate(SynthConfig(n_subjects=8, fps=4, height=22, width=22,
+                                disagreement_rate=0.25, time_median_s=4.0,
+                                time_min_s=4.0, time_max_s=4.01, clip_len=4, seed=0), tmp_path)
+    params = init_model(dataclasses.replace(TINY_MODEL, input_hw=22))
+    subject_bytes = sum(f.nbytes for f in load_subject_video(data, data.subjects[0]).frames)
+    assert subject_bytes == 20 * 16 * 22 * 22
+    evaluate_probs(data, params, data.subjects)  # first-call allocations stay out
+
+    def peak(subjects):
+        tracemalloc.start()
+        try:
+            evaluate_probs(data, params, subjects)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # Holding every subject's frames would add 4 subjects' worth from 4 to 8.
+    assert peak(data.subjects) - peak(data.subjects[:4]) < subject_bytes
+
+
+def test_benchmark_video_calls_give_what_subject_forward_takes(tiny_dataset):
+    params = init_model(TINY_MODEL)
+    subjects = tiny_dataset.subjects[:2]
+    videos = load_videos(tiny_dataset, subjects, needs_video=True)
+    assert list(videos) == [s.subject_id for s in subjects]
+    for s, p in zip(subjects, evaluate_probs(tiny_dataset, params, subjects)):
+        frames = load_subject_video(tiny_dataset, s).frames
+        assert len(frames) == 20 and all(f.dtype == np.uint8 and f.ndim == 3 for f in frames)
+        assert subject_forward(params, s, videos[s.subject_id]).p.item() == p
+        assert subject_forward(params, s, SubjectVideo(frames)).p.item() == p
+    assert load_videos(tiny_dataset, subjects, needs_video=False) == \
+        {s.subject_id: None for s in subjects}
 
 
 def test_checkpoint_roundtrip_preserves_predictions(tiny_dataset, tmp_path):
@@ -343,9 +389,8 @@ def test_checkpoint_roundtrip_preserves_predictions(tiny_dataset, tmp_path):
     m, v, t, history = load_checkpoint(path, fresh)
     assert t == state.t and history == rows
     subjects = tiny_dataset.subjects[:3]
-    videos = load_videos(tiny_dataset, subjects, needs_video=True)
-    assert np.array_equal(evaluate_probs(params, subjects, videos),
-                          evaluate_probs(fresh, subjects, videos))
+    assert np.array_equal(evaluate_probs(tiny_dataset, params, subjects),
+                          evaluate_probs(tiny_dataset, fresh, subjects))
 
 
 def test_evaluate_metrics_degenerate_slices_are_nan(tiny_dataset):
