@@ -12,6 +12,8 @@ and a key given twice in one source, are rejected. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
 import itertools
 import math
 import os
@@ -460,7 +462,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _one_blas_thread() -> None:
+    """Run numpy's bundled OpenBLAS on one thread.
+
+    With two threads OpenBLAS splits some GEMM sums differently, so a run's
+    bytes would depend on the host's core count. Parallelism comes from the
+    clip pool and ``--jobs`` instead. Where numpy bundles no OpenBLAS with
+    this symbol, the library keeps its own thread count.
+    """
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                           "libscipy_openblas*.so")
+    for path in glob.glob(pattern):
+        setter = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _one_blas_thread()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -147,13 +147,9 @@ def load_subject_video(dataset: Dataset, subject: Subject) -> SubjectVideo:
 
 
 def _question_features(params: ModelParams, video: SubjectVideo) -> list[Tensor]:
-    features = []
-    for frames in video.frames:
-        clips = segment(frames, clip_len=params.config.clip_len)
-        clip_features, positions = encode_question_clips(clips, params.encoder)
-        features.append(encode_question(clip_features, positions, params.ras,
-                                        params.config.ras_config()))
-    return features
+    questions = [segment(frames, clip_len=params.config.clip_len) for frames in video.frames]
+    return [encode_question(clip_features, positions, params.ras, params.config.ras_config())
+            for clip_features, positions in encode_question_clips(questions, params.encoder)]
 
 
 def _fused(params: ModelParams, feats: list[Tensor] | None, subject: Subject,

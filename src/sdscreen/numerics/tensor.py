@@ -15,10 +15,14 @@ parameters and any input tensor created with ``requires_grad``) keep a
 ``recomputed`` trades compute for memory (gradient checkpointing): it runs a
 function with no tape and records it as one entry, whose closure re-runs the
 function under a local tape and replays that tape with the output's gradient.
+
+The stack of active tapes is per thread: an op records on a tape only when
+its own thread entered it, so ops a worker thread runs are untaped.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -123,11 +127,11 @@ class Tape:
         self._consumed = False
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        _TAPES.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _TAPE_STACK.pop()
+        popped = _TAPES.stack.pop()
         assert popped is self
 
     def record(self, out: Tensor, backward_fn: Callable[[np.ndarray], None]) -> None:
@@ -160,15 +164,22 @@ class Tape:
             del out, backward_fn, grad
 
 
-# None on the stack turns recording off until it is popped.
-_TAPE_STACK: list[Tape | None] = []
+# Each thread's stack of entered tapes; None on it turns recording off until
+# it is popped.
+class _ThreadTapes(threading.local):
+    def __init__(self) -> None:
+        self.stack: list[Tape | None] = []
+
+
+_TAPES = _ThreadTapes()
 
 
 def _active_tape() -> Tape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    stack = _TAPES.stack
+    return stack[-1] if stack else None
 
 
-def recomputed(fn: Callable[..., Tensor], *args) -> Tensor:
+def recomputed(fn: Callable[..., Tensor], *args, value: Tensor | None = None) -> Tensor:
     """``fn(*args)``, recorded on the active tape as one entry.
 
     ``fn`` runs with no tape, so none of its intermediates is kept. In
@@ -177,17 +188,21 @@ def recomputed(fn: Callable[..., Tensor], *args) -> Tensor:
     Sublinear Memory Cost*, arXiv 1604.06174). ``fn`` must be deterministic:
     the replay visits its ops in the same reverse order as a plain tape, so
     every input receives the same contributions in the same order and the
-    gradients are bit-identical.
+    gradients are bit-identical. ``value``, when given, is ``fn(*args)``
+    already run with no tape (on a worker thread, say); it is recorded as
+    the output instead of running ``fn`` again.
     """
     tape = _active_tape()
-    if tape is None:
-        return fn(*args)
-    _TAPE_STACK.append(None)
-    try:
-        out = fn(*args)
-    finally:
-        _TAPE_STACK.pop()
-    if out.requires_grad:
+    out = value
+    if out is None:
+        if tape is None:
+            return fn(*args)
+        _TAPES.stack.append(None)
+        try:
+            out = fn(*args)
+        finally:
+            _TAPES.stack.pop()
+    if tape is not None and out.requires_grad:
         def bwd(g: np.ndarray) -> None:
             with Tape() as local:
                 again = fn(*args)

@@ -13,6 +13,13 @@ hold bitwise, not just approximately: identical input features pass through
 unchanged (differences are exactly zero), and with the position kernel off,
 permuting the clips permutes the outputs and leaves the pooled feature
 untouched.
+
+A question of two clips gets nothing from the blocks in difference mode.
+The pair weights have a zeroed diagonal, so each clip's normalized residual
+is the difference to the other clip, r1 = f2 - f1 = -r2, whatever the
+weights; the mean pool cancels every block's update for any omega, psi, phi
+or sigma, and returns the plain mean up to rounding. Only M >= 3 clips, or
+``use_difference=False``, let attention change the question feature.
 """
 
 from __future__ import annotations

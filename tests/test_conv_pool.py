@@ -22,6 +22,7 @@ from sdscreen.numerics import (
     relu,
     reshape,
 )
+from sdscreen.numerics import conv
 from sdscreen.numerics.gradcheck import gradcheck
 from sdscreen.numerics.tensor import _finish
 
@@ -340,6 +341,34 @@ def test_conv3d_within_rounding_of_im2col_conv(x_shape, k_shape, pads):
     for g, w in zip([got, *got_grads], [want, *want_grads]):
         assert g.shape == w.shape
         assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
+
+
+# The forward builds its row matrix over blocks of output rows. Blocks of
+# three rows split every OH here unevenly and must give the one-block bits.
+@pytest.mark.parametrize("x_shape, k_shape, pads", [
+    ((7, 6, 4, 3), (4, 3, 3, 3, 3), (0, 0)),
+    ((7, 6, 4, 3), (4, 3, 3, 3, 3), (0, 1)),
+    ((7, 6, 4, 3), (4, 3, 3, 3, 3), (1, 1)),
+    ((54, 54, 10, 16), (32, 3, 3, 3, 16), (0, 1)),  # reference stage 1
+])
+def test_conv3d_row_blocks_bit_equal_to_one_block(x_shape, k_shape, pads, monkeypatch):
+    x, k, b, probe = conv_case(x_shape, k_shape, pads, 50)
+    sp, tp = pads
+    _, kh, kw, kt, cin = k_shape
+    oh, ow, ot = (e + 2 * p - kk + 1 for e, p, kk in zip(x_shape[:3], (sp, sp, tp), k_shape[1:4]))
+    assert oh > 3 and oh % 3
+    run = lambda *t: conv3d(*t, *pads)
+    monkeypatch.setattr(conv, "ROW_BLOCK_BYTES", 1 << 62)
+    want, want_grads = run_taped(run, [x, k, b], probe)
+    monkeypatch.setattr(conv, "ROW_BLOCK_BYTES", (3 + kh - 1) * 8 * ow * ot * kw * kt * cin)
+    heights, rows = [], conv._rows
+    monkeypatch.setattr(conv, "_rows", lambda padded, *a: heights.append(len(padded))
+                        or rows(padded, *a))
+    got, got_grads = run_taped(run, [x, k, b], probe)
+    for g, w in zip([got, *got_grads], [want, *want_grads]):
+        assert_bits_equal(g, w)
+    # The forward's blocks, then the kernel gradient's one full row matrix.
+    assert heights == [3 + kh - 1] * (oh // 3) + [oh % 3 + kh - 1, oh + kh - 1]
 
 
 def encode_clip_oracle(x, params):

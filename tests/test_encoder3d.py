@@ -87,14 +87,14 @@ def test_encoding_is_deterministic_and_params_shared():
     params = init_encoder(plan, rng)
     frames = np.random.default_rng(3).integers(0, 256, (25, 20, 20)).astype(np.uint8)
     clips = segment(frames)
-    feats1, pos1 = encode_question_clips(clips, params)
-    feats2, pos2 = encode_question_clips(clips, params)
+    [(feats1, pos1)] = encode_question_clips([clips], params)
+    [(feats2, pos2)] = encode_question_clips([clips], params)
     assert pos1 == pos2 == list(range(1, len(clips) + 1))
     for a, b in zip(feats1, feats2):
         assert np.array_equal(a.data, b.data)
     # Same parameters applied to identical clips give identical features.
     dup = segment(np.concatenate([frames[:10], frames[:10]]))
-    feats, _ = encode_question_clips(dup[[0, 2]], params)
+    [(feats, _)] = encode_question_clips([dup[[0, 2]]], params)
     assert np.array_equal(feats[0].data, feats[1].data)
 
 
@@ -105,7 +105,7 @@ def test_question_features_match_contiguous_clip_copies(n):
     plan = build_plan(12, clip_len=10, base_channels=2, feature_dim=4)
     params = init_encoder(plan, np.random.default_rng(5))
     frames = np.random.default_rng(n).integers(0, 256, (n, 12, 12)).astype(np.uint8)
-    feats, positions = encode_question_clips(segment(frames), params)
+    [(feats, positions)] = encode_question_clips([segment(frames)], params)
     scaled = frames.astype(np.float64) / 255.0
     assert positions == list(range(1, len(feats) + 1))
     for k, feat in enumerate(feats):

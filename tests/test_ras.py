@@ -215,6 +215,24 @@ def test_zero_blocks_is_plain_mean():
     assert np.allclose(out.data, np.stack(feats).mean(axis=0))
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_two_clips_in_difference_mode_pool_to_the_plain_mean(m):
+    # With two clips the residuals are r1 = f2 - f1 = -r2 for any weights,
+    # so the mean pool cancels every block's update; a third clip breaks it.
+    r = np.random.default_rng(7)
+    feats = [r.normal(size=6) for _ in range(m)]
+    cfg = RasConfig(blocks=3, sigma=10.0)
+    params = make_params(r.normal(size=(6, 6)) * 0.3, r.normal(size=(6, 6)) * 0.3,
+                         [r.normal(size=6) * 0.5 for _ in range(3)])
+    assert all(np.all(w.data != 0.0) for w in params.omegas)
+    out = encode_question([Tensor(f) for f in feats], list(range(1, m + 1)), params, cfg)
+    gap = np.abs(out.data - np.stack(feats).mean(axis=0)).max()
+    if m == 2:
+        assert gap <= 1e-15
+    else:
+        assert gap > 1e-3
+
+
 def test_contract_errors():
     r = np.random.default_rng(6)
     cfg = RasConfig(blocks=2, sigma=10.0)

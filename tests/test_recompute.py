@@ -95,7 +95,7 @@ def question_tapes(n_clips, monkeypatch):
         patch.setattr(encoder3d, "RECOMPUTE_BYTES", 0)
         patch.setattr(Tape, "backward", spy)
         with Tape() as tape:
-            feats, _ = encode_question_clips(segment(frames, 4), params)
+            [(feats, _)] = encode_question_clips([segment(frames, 4)], params)
             stacked = stack(feats)
             loss = dot(sum_sorted(mul(stacked, stacked), axis=0), Tensor(np.ones(4)))
         tape.backward(loss)
