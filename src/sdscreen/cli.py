@@ -55,6 +55,8 @@ from .trainer import (
 __all__ = ["main", "resolve_config", "DEFAULTS", "gradcheck_cases", "run_gradchecks"]
 
 RUN_CONFIG = "config.txt"
+# The digest of the manifest of the dataset the run trained on, for eval to compare.
+RUN_DATA = "dataset.txt"
 
 # Every model and training setting: the keys all checkpoints of one run share.
 RUN_DEFAULTS: dict[str, object] = {**flatten(ModelConfig()), **flatten(TrainConfig())}
@@ -180,9 +182,26 @@ def _read_run_config(run_dir: Path) -> dict[str, object]:
     return resolve_config(str(path))
 
 
-def _write_run_config(out_dir: Path, cfg: dict[str, object], resume: bool) -> None:
-    """Write the run's settings to ``config.txt`` atomically. One run has one config:
-    another value of a model or training key but ``epochs`` is refused."""
+def _check_run_data(run_dir: Path, dataset: Dataset) -> None:
+    """Refuse a dataset whose manifest is not the one the run trained on."""
+    path = run_dir / RUN_DATA
+    if not path.is_file():
+        raise FormatError(f"run dataset record missing: {path}")
+    pairs = {key: value for _, key, value in read_pairs(path, FormatError)}
+    if set(pairs) != {"manifest_sha256"}:
+        raise FormatError(f"{path}: expected the one key 'manifest_sha256', got {sorted(pairs)}")
+    if pairs["manifest_sha256"] != dataset.manifest_sha256:
+        raise DataError(f"{dataset.root / 'manifest.txt'} has sha256 {dataset.manifest_sha256}, "
+                        f"but the run trained on a manifest with sha256 "
+                        f"{pairs['manifest_sha256']} ({path})")
+
+
+def _write_run_config(out_dir: Path, cfg: dict[str, object], dataset: Dataset,
+                      resume: bool) -> None:
+    """Write the run's settings to ``config.txt`` and its dataset's manifest
+    digest to ``dataset.txt``, each atomically. One run has one config and one
+    dataset: another value of a model or training key but ``epochs`` is
+    refused, and so is another manifest once the run has recorded one."""
     path = out_dir / RUN_CONFIG
     if resume or path.is_file():
         stored = _read_run_config(out_dir)
@@ -190,10 +209,14 @@ def _write_run_config(out_dir: Path, cfg: dict[str, object], resume: bool) -> No
         if differ:
             raise ConfigError(f"{path} was written with other settings: "
                               f"{', '.join(differ)} differ; train into a new --out")
+    if (out_dir / RUN_DATA).is_file():
+        _check_run_data(out_dir, dataset)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tmp = out_dir / f"{RUN_CONFIG}.tmp"
-    tmp.write_text(config_to_text(cfg), encoding="utf-8")
-    os.replace(tmp, path)
+    for name, text in ((RUN_CONFIG, config_to_text(cfg)),
+                       (RUN_DATA, pairs_text([("manifest_sha256", dataset.manifest_sha256)]))):
+        tmp = out_dir / f"{name}.tmp"
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, out_dir / name)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -217,7 +240,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                           f"shorter than clip_len {model_cfg.clip_len}")
     kfold_split([s.subject_id for s in dataset.subjects], train_cfg.folds, train_cfg.seed)
     out_dir = Path(args.out)
-    _write_run_config(out_dir, cfg, args.resume)
+    _write_run_config(out_dir, cfg, dataset, args.resume)
 
     fold_args = [(dataset, model_cfg, train_cfg, fold, out_dir, args.resume) for fold in folds]
     if args.jobs > 1 and len(folds) > 1:
@@ -246,6 +269,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     run_dir = Path(args.run)
     cfg = _read_run_config(run_dir)
     dataset = load_dataset(args.data)
+    _check_run_data(run_dir, dataset)
     model_cfg = build(ModelConfig, cfg)
     train_cfg = build(TrainConfig, cfg)
     folds = _folds_arg(args.fold, train_cfg.folds)

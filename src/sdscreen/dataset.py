@@ -14,6 +14,7 @@ file: the magic, extents >= 1 and a size of 16 + N*H*W; its errors name the file
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 from dataclasses import dataclass
@@ -86,6 +87,8 @@ class Dataset:
     root: Path  # the directory the frames files are in
     # The fewest frames of any question video; None until the headers are read.
     min_frames: int | None = None
+    # The SHA-256 hex digest of manifest.txt's bytes; None unless loaded from one.
+    manifest_sha256: str | None = None
 
     def __post_init__(self) -> None:
         if not (isinstance(self.fps, int) and self.fps > 0):
@@ -253,10 +256,13 @@ def load_dataset(root: Path | str) -> Dataset:
 
     Each referenced file must exist, pass the frames check on its header and
     size, and declare the manifest's frame extents. The fewest frames any
-    header declares is kept as ``min_frames``. No pixels are read here.
+    header declares is kept as ``min_frames``, and the manifest's digest as
+    ``manifest_sha256``. No pixels are read here.
     """
     root = Path(root)
-    dataset = load_manifest(root / "manifest.txt")
+    manifest = root / "manifest.txt"
+    dataset = load_manifest(manifest)
+    dataset.manifest_sha256 = hashlib.sha256(manifest.read_bytes()).hexdigest()
     counts = []
     for s in dataset.subjects:
         for name in s.frame_files:

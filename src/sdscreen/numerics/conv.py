@@ -18,12 +18,20 @@ not depend on the block size. At the reference stage 1 (54x54x10x16 in) the
 whole matrix would be 32 MB; a block's is under 4 MiB.
 
 Forwards compute only their values. Backward recomputes what it needs from the
-stored inputs instead of keeping it on the tape: the convolution rebuilds the
-row matrix from the padded input for the kernel gradient, and accumulates the
-input gradient into a matrix of the same layout that it folds back onto the
-padded grid with kw*kt slice-adds; the pooling finds each window's first
-max again from its input and output. That trades a little recompute in backward
-for a smaller tape and cheaper untaped passes.
+stored inputs instead of keeping it on the tape, over the same blocks: the
+kernel gradient rebuilds each forward block's row matrix and adds the block's
+term of each ``dh`` slab straight into the kernel's ``grad``; the input
+gradient gathers each block of b padded rows' terms into a matrix of the row
+layout, in the order one block gives, and folds it back onto the padded grid
+with kw*kt slice-adds; the pooling finds each window's first max again from
+its input and output. That trades a little recompute in backward for a
+smaller tape and cheaper untaped passes. A conv with one block gives the
+gradients of one whole row matrix bit for bit; with several, the kernel
+gradient sums the blocks' terms one by one, so it may differ in the last
+bits, and so may the input gradient where the BLAS computes a row of a
+shorter GEMM in another order.
+At the reference stage 1 the backward allocates about 10 MiB on top of its
+inputs, where one whole matrix took 61 MiB.
 """
 
 from __future__ import annotations
@@ -35,8 +43,8 @@ from .tensor import Tensor, _finish
 
 __all__ = ["conv3d", "maxpool3d"]
 
-# A forward block's row matrix holds at most about this many bytes, so that
-# it stays in cache while the block's kh GEMMs read it. On a Xeon with 2 MiB
+# A block's row matrix holds at most about this many bytes, so that it
+# stays in cache while the block's kh GEMMs read it. On a Xeon with 2 MiB
 # of L2 a core, 4 MiB ran the reference stages fastest, on one thread or two,
 # of the sizes from 1 to 8 MiB tried.
 ROW_BLOCK_BYTES = 4 << 20
@@ -119,29 +127,44 @@ def conv3d(x: Tensor, kernels: Tensor, bias: Tensor,
 
     x_req, k_req, b_req = x.requires_grad, kernels.requires_grad, bias.requires_grad
 
+    # Each del in backward frees a block's arrays before the next block makes its own.
     def bwd(g: np.ndarray) -> None:
         gmat = g.reshape(m, cout)
         if k_req:
-            rows_again = _rows(padded, kw, kt)
-            gk = np.empty((cout, kh, kw * kt * cin))
-            for dh in range(kh):
-                gk[:, dh] = gmat.T @ rows_again[dh * n:dh * n + m]
-            del rows_again
-            kernels.accumulate_grad(gk.reshape(kernels.shape))
+            # Each forward block's term of every dh slab goes straight into grad.
+            for h0 in range(0, oh, block):
+                h1 = min(h0 + block, oh)
+                rows = _rows(padded[h0:h1 + kh - 1], kw, kt)
+                for dh in range(kh):
+                    slab = gmat[h0 * n:h1 * n].T @ rows[dh * n:(dh + h1 - h0) * n]
+                    kernels.accumulate_grad(slab.reshape(cout, kw, kt, cin), at=(slice(None), dh))
+                    del slab
+                del rows
         if x_req:
-            # Gather each row block's gradient into the row layout, then fold
-            # every (dw, dt) window offset back onto the padded grid.
+            # Padded rows p0 .. p1 - 1 gather their dh terms in the row layout,
+            # in the order one block gives them, then fold every (dw, dt)
+            # window offset back onto the padded grid.
             ph = padded.shape[0]
-            grows = np.empty((ph * n, kw * kt * cin))
-            np.matmul(gmat, kmats[0].T, out=grows[:m])
-            grows[m:] = 0.0
-            for dh in range(1, kh):
-                grows[dh * n:dh * n + m] += gmat @ kmats[dh].T
-            grows = grows.reshape(ph, ow, ot, kw, kt, cin)
             gpad = np.zeros_like(padded)
-            for dw in range(kw):
-                for dt in range(kt):
-                    gpad[:, dw:dw + ow, dt:dt + ot, :] += grows[:, :, :, dw, dt, :]
+            part = np.empty((min(block, ph) * n, kw * kt * cin))
+            for p0 in range(0, ph, block):
+                p1 = min(p0 + block, ph)
+                grows = np.empty(((p1 - p0) * n, kw * kt * cin))
+                mb = max(min(p1, oh) - p0, 0) * n  # rows with a dh = 0 term
+                np.matmul(gmat[p0 * n:p0 * n + mb], kmats[0].T, out=grows[:mb])
+                grows[mb:] = 0.0
+                for dh in range(1, kh):
+                    o0, o1 = max(p0 - dh, 0), min(p1 - dh, oh)  # output rows at offset dh
+                    if o0 < o1:
+                        grows[(o0 + dh - p0) * n:(o1 + dh - p0) * n] += np.matmul(
+                            gmat[o0 * n:o1 * n], kmats[dh].T, out=part[:(o1 - o0) * n])
+                grows = grows.reshape(p1 - p0, ow, ot, kw, kt, cin)
+                gpad_rows = gpad[p0:p1]
+                for dw in range(kw):
+                    for dt in range(kt):
+                        gpad_rows[:, dw:dw + ow, dt:dt + ot, :] += grows[:, :, :, dw, dt, :]
+                del grows
+            del part
             sp, tp = spatial_pad, temporal_pad
             x.accumulate_grad(gpad[sp:sp + h, sp:sp + w, tp:tp + t, :])
         if b_req:

@@ -15,19 +15,26 @@ parameters and any input tensor created with ``requires_grad``) keep a
 ``recomputed`` trades compute for memory (gradient checkpointing): it runs a
 function with no tape and records it as one entry, whose closure re-runs the
 function under a local tape and replays that tape with the output's gradient.
+Entries taken into a ``RecomputeGroup`` have the next entry's local tape
+rebuilt on a worker thread while the current one replays.
 
 The stack of active tapes is per thread: an op records on a tape only when
-its own thread entered it, so ops a worker thread runs are untaped.
+its own thread entered it, so ops a worker thread runs are untaped unless the
+worker entered a tape of its own.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Sequence
+from contextlib import ExitStack
+from typing import TYPE_CHECKING, Callable, ContextManager, Sequence
 
 import numpy as np
 
 from ..errors import ContractError, NumericError, ShapeError
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor, Future
 
 __all__ = [
     "Tensor",
@@ -52,6 +59,7 @@ __all__ = [
     "reshape",
     "transpose",
     "recomputed",
+    "RecomputeGroup",
     "glorot_uniform",
 ]
 
@@ -96,12 +104,20 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def accumulate_grad(self, contribution: np.ndarray) -> None:
-        if contribution.shape != self.data.shape:
+    def accumulate_grad(self, contribution: np.ndarray, at: tuple | None = None) -> None:
+        """Add ``contribution`` to ``grad``, or to the part ``grad[at]`` of it
+        (a basic index); a part added before any other gradient lands on zeros."""
+        shape = self.data.shape if at is None else self.data[at].shape
+        if contribution.shape != shape:
             raise ShapeError(
-                f"gradient shape {contribution.shape} does not match tensor shape {self.data.shape}"
+                f"gradient shape {contribution.shape} does not match tensor shape {shape}"
             )
-        if self.grad is None:
+        if at is not None:
+            if self.grad is None:
+                # zeros + contribution: the bits of a first whole contribution
+                self.grad = np.zeros_like(self.data)
+            self.grad[at] += contribution
+        elif self.grad is None:
             # One pass into a fresh array; adding 0.0 gives the bits of
             # zeros + contribution (-0.0 becomes 0.0) and keeps 0-d arrays 0-d.
             self.grad = np.add(contribution, 0.0, out=np.empty_like(self.data))
@@ -179,7 +195,8 @@ def _active_tape() -> Tape | None:
     return stack[-1] if stack else None
 
 
-def recomputed(fn: Callable[..., Tensor], *args, value: Tensor | None = None) -> Tensor:
+def recomputed(fn: Callable[..., Tensor], *args, value: Tensor | None = None,
+               group: RecomputeGroup | None = None) -> Tensor:
     """``fn(*args)``, recorded on the active tape as one entry.
 
     ``fn`` runs with no tape, so none of its intermediates is kept. In
@@ -190,7 +207,9 @@ def recomputed(fn: Callable[..., Tensor], *args, value: Tensor | None = None) ->
     every input receives the same contributions in the same order and the
     gradients are bit-identical. ``value``, when given, is ``fn(*args)``
     already run with no tape (on a worker thread, say); it is recorded as
-    the output instead of running ``fn`` again.
+    the output instead of running ``fn`` again. ``group``, when given, takes
+    the entry into a group of entries whose local tapes are rebuilt ahead of
+    their replay (see ``RecomputeGroup``).
     """
     tape = _active_tape()
     out = value
@@ -203,14 +222,97 @@ def recomputed(fn: Callable[..., Tensor], *args, value: Tensor | None = None) ->
         finally:
             _TAPES.stack.pop()
     if tape is not None and out.requires_grad:
-        def bwd(g: np.ndarray) -> None:
-            with Tape() as local:
-                again = fn(*args)
-            again.grad = g
-            local.backward(again)
+        if group is None:
+            def bwd(g: np.ndarray) -> None:
+                _replay(_rebuild(fn, args), g)
+        else:
+            index = group._add(tape, out, fn, args)
+
+            def bwd(g: np.ndarray) -> None:
+                group._replay(index, g)
 
         tape.record(out, bwd)
     return out
+
+
+def _rebuild(fn: Callable[..., Tensor], args: tuple) -> tuple[Tape, Tensor]:
+    """``fn(*args)`` under a fresh local tape: (that tape, the output)."""
+    with Tape() as local:
+        out = fn(*args)
+    return local, out
+
+
+def _replay(built: tuple[Tape, Tensor], g: np.ndarray) -> None:
+    local, out = built
+    out.grad = g
+    local.backward(out)
+
+
+class RecomputeGroup:
+    """``recomputed`` entries recorded one after another on one tape, whose
+    local tapes are rebuilt one ahead of their replay.
+
+    Whatever uses an entry's output was recorded after the whole group, so
+    when the first entry replays, every entry's gradient is known. While the
+    calling thread replays one entry's local tape, one worker rebuilds the
+    local tape of the next entry the replay will reach: the closest earlier
+    one whose output has a gradient. An entry with none is never rebuilt.
+    (An entry whose output feeds another entry's arguments may get its
+    gradient only as that one replays; it is then rebuilt on the calling
+    thread, and the rebuild ahead waits for its turn.) The replays, and
+    with them every gradient contribution, stay on the calling thread in
+    the order of a plain tape, so the gradients are the same bits as
+    without the group.
+
+    ``pool()`` gives a context manager holding an executor with one worker
+    thread. It is entered when an entry replays with another still to
+    follow, and left when the last one has replayed or a rebuild or replay
+    raised, so the worker lives only while the group replays and an error
+    reaches the caller once it has stopped.
+    """
+
+    def __init__(self, pool: Callable[[], ContextManager[Executor]]):
+        self._pool = pool
+        self._members: list[tuple[Tensor, Callable[..., Tensor], tuple] | None] = []
+        self._worker: ExitStack | None = None
+        self._executor: Executor | None = None
+        self._ahead: tuple[int, Future] | None = None
+
+    def _add(self, tape: Tape, out: Tensor, fn: Callable[..., Tensor], args: tuple) -> int:
+        if self._members and (not len(tape) or tape._entries[-1][0] is not self._members[-1][0]):
+            raise ContractError("a recompute group's entries must follow one another on one tape")
+        self._members.append((out, fn, args))
+        return len(self._members) - 1
+
+    def _replay(self, index: int, g: np.ndarray) -> None:
+        try:
+            if self._ahead is not None and self._ahead[0] == index:
+                built = self._ahead[1].result()
+                self._ahead = None
+            else:  # nothing rebuilt ahead, or an entry further back (see above)
+                built = _rebuild(*self._members[index][1:])
+            self._members[index] = None
+            following = next((j for j in range(index - 1, -1, -1)
+                              if self._members[j][0].grad is not None), None)
+            if following is not None and self._ahead is None:
+                if self._worker is None:
+                    self._worker = ExitStack()
+                    self._executor = self._worker.enter_context(self._pool())
+                self._ahead = following, self._executor.submit(
+                    _rebuild, *self._members[following][1:])
+            _replay(built, g)
+            del built
+        except BaseException:
+            self._close()
+            raise
+        if following is None:
+            self._close()
+
+    def _close(self) -> None:
+        self._ahead = self._executor = None
+        worker, self._worker = self._worker, None
+        if worker is not None:
+            worker.close()
 
 
 def _finish(op: str, data: np.ndarray, inputs: Sequence[Tensor],

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from sdscreen.clipper import clip_count, segment
-from sdscreen.dataset import sds_sum_classify
+from sdscreen.dataset import load_dataset, sds_sum_classify
 from sdscreen.encoder3d import build_plan, encode_clip, init_encoder
 from sdscreen.fusion import encode_score, fuse_question, init_fusion, predict_subject
 from sdscreen.metrics import accuracy, confusion, roc_auc, sensitivity, specificity
@@ -309,11 +309,14 @@ def test_byte_identical_reruns(capsys, tmp_path_factory):
     outputs = []
     for out in dirs:
         rows_metrics = run_fold(data, model_cfg, train_cfg, 0, out)
-        # run_fold writes no config.txt; these are the settings it trained with.
+        # run_fold writes no config.txt or dataset.txt; these are the settings
+        # and the dataset it trained with.
         (out / "config.txt").write_text(config_to_text(resolve_config(None, [
             "input_hw=12", "clip_len=4", "base_channels=2", "feature_dim=4",
             "hidden1=8", "hidden2=4", "blocks=1", "sigma=4.0", "init_seed=5",
             "seed=6", "folds=4"])))
+        (out / "dataset.txt").write_text(
+            f"manifest_sha256 = {load_dataset(root).manifest_sha256}\n")
         code = main(["eval", "--data", str(root), "--run", str(out), "--fold", "0"])
         assert code == 0
         outputs.append((

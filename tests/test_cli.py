@@ -1,6 +1,7 @@
 """Command-line behavior: config resolution, commands, artifacts, exit codes."""
 
 import dataclasses
+import hashlib
 import re
 import shutil
 from pathlib import Path
@@ -661,6 +662,59 @@ def test_resume_without_run_config_exits_two(config_file, data_dir, run_dir,
     assert (bare / "fold0.ckpt").read_bytes() == (run_dir / "fold0.ckpt").read_bytes()
 
 
+@pytest.fixture(scope="module")
+def other_data_dir(tmp_path_factory, config_file):
+    """The tiny set with another synth seed: the same subject ids, other subjects."""
+    out = tmp_path_factory.mktemp("cli_other_data")
+    assert main(["synth", "--out", str(out), "--config", config_file,
+                 "--set", "synth_seed=1"]) == 0
+    return str(out)
+
+
+def manifest_sha256(data: str) -> str:
+    return hashlib.sha256((Path(data) / "manifest.txt").read_bytes()).hexdigest()
+
+
+def test_eval_on_another_dataset_exits_two(data_dir, other_data_dir, run_dir, tmp_path, capsys):
+    trained, other = manifest_sha256(data_dir), manifest_sha256(other_data_dir)
+    assert trained != other
+    assert [s.subject_id for s in load_dataset(data_dir).subjects] == \
+        [s.subject_id for s in load_dataset(other_data_dir).subjects]
+    capsys.readouterr()
+    assert main(["eval", "--data", other_data_dir, "--run", str(run_dir),
+                 "--out", str(tmp_path / "report")]) == 2
+    line = one_error_line(capsys)
+    assert trained in line and other in line
+    assert not (tmp_path / "report").exists()
+    assert (run_dir / "dataset.txt").read_text() == f"manifest_sha256 = {trained}\n"
+
+
+def test_train_into_a_run_of_another_dataset_exits_two(config_file, other_data_dir, run_dir,
+                                                      tmp_path, capsys):
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    before = {p.name: p.read_bytes() for p in copy.iterdir()}
+    assert main(["train", "--data", other_data_dir, "--out", str(copy), "--resume",
+                 "--config", config_file]) == 2
+    assert manifest_sha256(other_data_dir) in one_error_line(capsys)
+    assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
+
+
+@pytest.mark.parametrize("record", [None, b"manifest = x\n", b"manifest_sha256 = \xff\n"],
+                         ids=["missing", "other-key", "not-utf8"])
+def test_eval_with_a_missing_or_damaged_dataset_record_exits_two(record, data_dir, run_dir,
+                                                                tmp_path, capsys):
+    bare = tmp_path / "bare"
+    shutil.copytree(run_dir, bare)
+    if record is None:
+        (bare / "dataset.txt").unlink()
+    else:
+        (bare / "dataset.txt").write_bytes(record)
+    assert main(["eval", "--data", data_dir, "--run", str(bare)]) == 2
+    assert "dataset.txt" in one_error_line(capsys)
+    assert not (bare / "metrics.csv").exists()
+
+
 def test_numeric_failure_exits_three(monkeypatch, tmp_path):
     from sdscreen import cli
 
@@ -716,6 +770,7 @@ def test_eval_missing_checkpoint_exits_two(data_dir, run_dir, tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
     shutil.copy(run_dir / "config.txt", empty)
+    shutil.copy(run_dir / "dataset.txt", empty)
     assert main(["eval", "--data", data_dir, "--run", str(empty)]) == 2
     assert "checkpoint missing" in one_error_line(capsys)
 

@@ -1,10 +1,12 @@
 """3-D convolution and max-pooling checked against plain loop references,
 the convolution checked against the earlier full-im2col convolution at
-rounding level, and the encoder's conv + maxpool + ReLU stages checked bit
-for bit against an oracle of the conv + ReLU + argmax-pool stages they
-replace."""
+rounding level, its single-block backward checked bit for bit against the
+earlier one-matrix backward and its backward's memory bounded, and the
+encoder's conv + maxpool + ReLU stages checked bit for bit against an oracle
+of the conv + ReLU + argmax-pool stages they replace."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -343,8 +345,10 @@ def test_conv3d_within_rounding_of_im2col_conv(x_shape, k_shape, pads):
         assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
 
 
-# The forward builds its row matrix over blocks of output rows. Blocks of
-# three rows split every OH here unevenly and must give the one-block bits.
+# Forward and backward work over blocks of output rows. Blocks of three rows
+# split every OH here unevenly: the output and the bias gradient keep the
+# one-block bits, while the kernel gradient sums its blocks' terms, and the
+# input gradient may take other GEMM rows, so they agree to rounding.
 @pytest.mark.parametrize("x_shape, k_shape, pads", [
     ((7, 6, 4, 3), (4, 3, 3, 3, 3), (0, 0)),
     ((7, 6, 4, 3), (4, 3, 3, 3, 3), (0, 1)),
@@ -365,10 +369,112 @@ def test_conv3d_row_blocks_bit_equal_to_one_block(x_shape, k_shape, pads, monkey
     monkeypatch.setattr(conv, "_rows", lambda padded, *a: heights.append(len(padded))
                         or rows(padded, *a))
     got, got_grads = run_taped(run, [x, k, b], probe)
-    for g, w in zip([got, *got_grads], [want, *want_grads]):
+    assert_bits_equal(got, want)
+    assert_bits_equal(got_grads[2], want_grads[2])
+    for g, w in zip(got_grads[:2], want_grads[:2]):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
+    # The forward's blocks, then the kernel gradient's, the same rows.
+    assert heights == 2 * ([3 + kh - 1] * (oh // 3) + [oh % 3 + kh - 1])
+
+
+def conv3d_one_matrix(x, kernels, bias, sp, tp):
+    """conv3d whose backward builds the whole row matrix for the kernel
+    gradient and the whole row-layout input gradient: the earlier backward,
+    which single-block convs still match bit for bit."""
+    cout, kh, kw, kt, cin = kernels.shape
+    h, w, t = x.shape[:3]
+    padded = np.pad(x.data, ((sp, sp), (sp, sp), (tp, tp), (0, 0)))
+    ph, pw, pt = padded.shape[:3]
+    oh, ow, ot = ph - kh + 1, pw - kw + 1, pt - kt + 1
+    n = ow * ot
+    m = oh * n
+    kmats = kernels.data.reshape(cout, kh, -1).transpose(1, 2, 0)
+    data = conv3d(Tensor(x.data), Tensor(kernels.data), Tensor(bias.data), sp, tp).data
+
+    def bwd(g):
+        gmat = g.reshape(m, cout)
+        if kernels.requires_grad:
+            rows_again = conv._rows(padded, kw, kt)
+            gk = np.empty((cout, kh, kw * kt * cin))
+            for dh in range(kh):
+                gk[:, dh] = gmat.T @ rows_again[dh * n:dh * n + m]
+            kernels.accumulate_grad(gk.reshape(kernels.shape))
+        if x.requires_grad:
+            grows = np.empty((ph * n, kw * kt * cin))
+            np.matmul(gmat, kmats[0].T, out=grows[:m])
+            grows[m:] = 0.0
+            for dh in range(1, kh):
+                grows[dh * n:dh * n + m] += gmat @ kmats[dh].T
+            grows = grows.reshape(ph, ow, ot, kw, kt, cin)
+            gpad = np.zeros_like(padded)
+            for dw in range(kw):
+                for dt in range(kt):
+                    gpad[:, dw:dw + ow, dt:dt + ot, :] += grows[:, :, :, dw, dt, :]
+            x.accumulate_grad(gpad[sp:sp + h, sp:sp + w, tp:tp + t, :])
+        if bias.requires_grad:
+            bias.accumulate_grad(gmat.sum(axis=0))
+
+    return _finish("conv3d", data, (x, kernels, bias), bwd)
+
+
+SINGLE_BLOCK_CONVS = {
+    "desk-stage0": ((22, 22, 10, 1), (2, 3, 3, 3, 1), (0, 1)),
+    "desk-stage1": ((10, 10, 10, 2), (4, 3, 3, 3, 2), (0, 1)),
+    "desk-stage2": ((4, 4, 10, 4), (8, 3, 3, 3, 4), (0, 1)),
+    "desk-final": ((1, 1, 5, 8), (16, 1, 1, 5, 8), (0, 0)),
+    "reference-final": ((5, 5, 5, 128), (256, 5, 5, 5, 128), (0, 0)),
+}
+
+
+@pytest.mark.parametrize("held", ["fresh", "held"])
+@pytest.mark.parametrize("name", SINGLE_BLOCK_CONVS)
+def test_single_block_conv3d_backward_bit_equal_to_one_matrix_oracle(name, held, monkeypatch):
+    x_shape, k_shape, pads = SINGLE_BLOCK_CONVS[name]
+    x, k, b, probe = conv_case(x_shape, k_shape, pads, len(name))
+    held_grads = [np.random.default_rng(1).normal(size=a.shape) for a in (x, k, b)]
+
+    def taped(fn):
+        leaves = [Tensor(a, requires_grad=True) for a in (x, k, b)]
+        if held == "held":  # a gradient already there, as a batch's later clips find it
+            for leaf, g in zip(leaves, held_grads):
+                leaf.grad = g.copy()
+        with Tape() as tape:
+            out = fn(*leaves, *pads)
+            loss = dot(reshape(out, (out.size,)), Tensor(probe))
+        tape.backward(loss)
+        return [out.data] + [leaf.grad for leaf in leaves]
+
+    heights, rows = [], conv._rows
+    monkeypatch.setattr(conv, "_rows", lambda padded, *a: heights.append(len(padded))
+                        or rows(padded, *a))
+    got = taped(conv3d)
+    padded_h = x_shape[0] + 2 * pads[0]
+    assert heights == [padded_h, padded_h]  # one block, forward and backward
+    for g, w in zip(got, taped(conv3d_one_matrix)):
         assert_bits_equal(g, w)
-    # The forward's blocks, then the kernel gradient's one full row matrix.
-    assert heights == [3 + kh - 1] * (oh // 3) + [oh % 3 + kh - 1, oh + kh - 1]
+
+
+@pytest.mark.parametrize("x_shape, k_shape, pads", [
+    ((54, 54, 10, 16), (32, 3, 3, 3, 16), (0, 1)),   # reference stage 1
+    ((5, 5, 5, 128), (256, 5, 5, 5, 128), (0, 0)),   # reference final conv
+])
+def test_conv3d_backward_allocates_under_16_mb(x_shape, k_shape, pads):
+    x, k, b, probe = conv_case(x_shape, k_shape, pads, 60)
+    leaves = [Tensor(a, requires_grad=True) for a in (x, k, b)]
+    leaves[1].grad = np.zeros(k_shape)  # the parameter's accumulator, there from earlier clips
+    with Tape() as tape:
+        out = conv3d(*leaves, *pads)
+    out.grad = probe.reshape(out.shape)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tape.backward(out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(leaf.grad is not None for leaf in leaves)
+    assert peak - start < 16 << 20
 
 
 def encode_clip_oracle(x, params):

@@ -6,17 +6,22 @@ threshold to force recomputation at desk geometry and compare against the
 plain tape, bit for bit.
 """
 
+import threading
+from functools import partial
+
 import numpy as np
 import pytest
 
 from sdscreen import encoder3d, model, trainer
 from sdscreen.clipper import segment
 from sdscreen.encoder3d import build_plan, encode_question_clips, init_encoder
-from sdscreen.errors import ShapeError
+from sdscreen.errors import ContractError, ShapeError
 from sdscreen.fusion import bce_loss
 from sdscreen.numerics import (
+    RecomputeGroup,
     Tape,
     Tensor,
+    add,
     dot,
     mean_over_set,
     mul,
@@ -161,3 +166,43 @@ def test_first_gradient_contribution_matches_zeros_plus_contribution():
     scalar.accumulate_grad(np.array(-0.0))
     assert isinstance(scalar.grad, np.ndarray) and scalar.grad.shape == ()
     assert scalar.grad.tobytes() == np.array(0.0).tobytes()
+
+
+def cube(t):
+    return mul(mul(t, t), t)
+
+
+def times_square(t, u):
+    return mul(mul(t, t), u)
+
+
+def group_gradients(group):
+    """x's and y's gradients through three recomputed entries, the last of
+    which takes the second's output, so the second gets its gradient only
+    when the last replays."""
+    x = Tensor(np.array([1.5, -2.0, 0.25]), requires_grad=True)
+    y = Tensor(np.array([0.5, 3.0, -1.0]), requires_grad=True)
+    with Tape() as tape:
+        a = recomputed(cube, x, group=group)
+        b = recomputed(cube, y, group=group)
+        c = recomputed(times_square, b, x, group=group)
+        loss = dot(add(a, c), Tensor(np.array([1.0, -3.0, 2.0])))
+    tape.backward(loss)
+    return x.grad.tobytes(), y.grad.tobytes()
+
+
+def test_a_group_replays_an_entry_that_gains_its_gradient_late_on_the_caller():
+    baseline = threading.active_count()
+    prefetched = group_gradients(RecomputeGroup(partial(encoder3d._threads, 1)))
+    assert threading.active_count() == baseline
+    assert prefetched == group_gradients(None)
+
+
+def test_a_group_refuses_entries_apart_on_the_tape():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    group = RecomputeGroup(partial(encoder3d._threads, 1))
+    with Tape():
+        recomputed(cube, x, group=group)
+        mul(x, x)
+        with pytest.raises(ContractError, match="follow one another"):
+            recomputed(cube, x, group=group)
