@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +243,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     fold_args = [(dataset, model_cfg, train_cfg, fold, out_dir, args.resume) for fold in folds]
     if args.jobs > 1 and len(folds) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a --jobs run loads it
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             jobs = [pool.submit(run_fold, *a) for a in fold_args]
             results = [job.result() for job in jobs]

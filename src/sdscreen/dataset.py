@@ -167,10 +167,17 @@ def read_frames(path: Path | str) -> np.ndarray:
 
 
 def load_question_frames(dataset: Dataset, subject: Subject, question_index: int) -> np.ndarray:
-    """Read the recorded frames for one question of one subject."""
+    """Read the recorded frames for one question of one subject; frames of
+    another size than the dataset's (a file rewritten after loading) are
+    refused, naming the file."""
     if not 0 <= question_index < QUESTION_COUNT:
         raise DataError(f"question index {question_index} outside 0..{QUESTION_COUNT - 1}")
-    return read_frames(dataset.root / subject.frame_files[question_index])
+    path = dataset.root / subject.frame_files[question_index]
+    frames = read_frames(path)
+    if frames.shape[1:] != (dataset.height, dataset.width):
+        raise DataError(f"{path}: holds {frames.shape[1]}x{frames.shape[2]} frames, "
+                        f"manifest declares {dataset.height}x{dataset.width}")
+    return frames
 
 
 # ---------------------------------------------------------------------------

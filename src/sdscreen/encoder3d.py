@@ -26,40 +26,29 @@ A taped clip at the reference plan keeps about 32 MB of activations, so
 re-encodes it in backward. Clips of small plans (a 22x22 clip keeps about
 0.1 MB) stay on the tape, where re-encoding would cost time and save nothing.
 
-``encode_question_clips`` takes all of a subject's questions at once. For a
-recomputed plan it first encodes every clip with no tape on a thread pool,
-one worker per usable core (``os.sched_getaffinity``) and at most one per
-clip, and then records the clips' entries on the calling thread, in clip
-order. numpy's GEMMs release the GIL, so the workers overlap, and each clip
-is computed by the same ops as on one thread, so the features are the same
-bits. The tape stack is per thread, so a worker records nothing.
-
-With more than one usable core the entries form one ``RecomputeGroup``: in
-backward, while the calling thread replays a clip's local tape, one worker
-rebuilds the local tape of the next clip with a gradient, and every
-gradient is still accumulated on the calling thread in reverse clip order,
-so the gradients are the same bits as a serial replay. The second local
-tape in flight costs about 32 MB, which the blocked conv backward
-(``numerics.conv``) pays for.
+``encode_question_clips`` takes all of a subject's questions at once and
+hands a recomputed plan's clips to ``recomputed`` in one call, which encodes
+them with no tape on a thread pool and records one entry per clip, in clip
+order; in backward one worker rebuilds the next clip's local tape while the
+calling thread replays the current one (see ``numerics.tensor``). Each clip
+is computed by the same ops as on one thread and every gradient is added on
+the calling thread in reverse clip order, so features and gradients are the
+same bits as a plain tape's. The second local tape in flight costs about
+32 MB, which the blocked conv backward (``numerics.conv``) pays for.
 """
 
 from __future__ import annotations
 
-import ctypes
-import itertools
 import math
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
-from typing import TYPE_CHECKING, Iterator, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from .clipper import clip_stride
 from .errors import ConfigError, ContractError, ShapeError
 from .numerics import (
-    RecomputeGroup,
     Tensor,
     add,
     conv3d,
@@ -70,9 +59,6 @@ from .numerics import (
     relu,
     reshape,
 )
-
-if TYPE_CHECKING:
-    from concurrent.futures import Executor
 
 __all__ = [
     "EncoderPlan",
@@ -88,8 +74,6 @@ CONV_KERNEL = 3
 # A clip whose taped activations exceed this many bytes is encoded on the
 # thread pool and re-encoded in backward instead of kept on the tape.
 RECOMPUTE_BYTES = 1 << 20
-# mallopt's parameter number for the arena count (glibc's malloc.h).
-M_ARENA_MAX = -8
 
 
 @dataclass(frozen=True)
@@ -232,77 +216,20 @@ def _encode_frames(clip: np.ndarray, params: EncoderParams) -> Tensor:
     return encode_clip(Tensor(np.divide(clip[..., None], 255.0, order="C")), params)
 
 
-@cache
-def _libc(name: str, *argtypes):
-    """The C library's int-returning function ``name``, or None where it
-    has none (not glibc)."""
-    fn = getattr(ctypes.CDLL(None), name, None)
-    if fn is not None:
-        fn.argtypes, fn.restype = argtypes, ctypes.c_int
-    return fn
-
-
-def _usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@contextmanager
-def _threads(workers: int) -> Iterator[Executor]:
-    """An executor of ``workers`` threads, shut down when the block exits.
-
-    Every thread allocates from glibc's main arena: memory a worker frees
-    would otherwise stay in that thread's own arena and lift every later
-    peak. Once the workers stop, the arena's free pages go back to the
-    system, so they do not add to the next peak either. The shutdown drops
-    the work not yet started and waits for the work running."""
-    # Imported here: concurrent.futures adds about 0.7 MB to a process that
-    # never makes a pool, such as one that trains at desk geometry.
-    from concurrent.futures import ThreadPoolExecutor
-
-    mallopt = _libc("mallopt", ctypes.c_int, ctypes.c_int)
-    trim = _libc("malloc_trim", ctypes.c_size_t)
-    if mallopt is not None:
-        mallopt(M_ARENA_MAX, 1)
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        yield pool
-    finally:
-        pool.shutdown(cancel_futures=True)
-        if trim is not None:
-            trim(0)
-
-
-def _untaped_features(clips: list[np.ndarray], params: EncoderParams) -> list[Tensor]:
-    """Every clip's untaped features, mapped over one worker per usable core.
-
-    The pool lives for one call, so a forked ``--jobs`` process never copies
-    its threads. An error in any clip is raised here once every worker has
-    stopped, and the clips not yet started are dropped."""
-    with _threads(min(_usable_cores(), len(clips))) as pool:
-        return list(pool.map(_encode_frames, clips, itertools.repeat(params)))
-
-
 def encode_question_clips(questions: Sequence[np.ndarray], params: EncoderParams
                           ) -> list[tuple[list[Tensor], list[int]]]:
     """Encode every clip of a subject's questions, each an (M, H, W, T) uint8
     array from ``segment``; returns (features, positions 1..M) per question.
 
-    A plan whose clips keep more than RECOMPUTE_BYTES encodes all the clips
-    with no tape on a pool of threads (``_untaped_features``), and then,
-    under a tape, records each clip as one ``recomputed`` entry, in clip
-    order, all in one prefetching group when there is a core to prefetch
-    on. Smaller plans encode their clips one after another on the calling
+    A plan whose clips keep more than RECOMPUTE_BYTES encodes them through
+    one ``recomputed`` call, on a pool of threads and as one tape entry a
+    clip. Smaller plans encode their clips one after another on the calling
     thread's tape."""
     if not questions or any(len(clips) == 0 for clips in questions):
         raise ContractError("every question must have at least one clip")
     flat = [clip for clips in questions for clip in clips]
     if params.plan.taped_bytes > RECOMPUTE_BYTES:
-        values = _untaped_features(flat, params)
-        group = RecomputeGroup(partial(_threads, 1)) if _usable_cores() > 1 else None
-        features = [recomputed(_encode_frames, clip, params, value=value, group=group)
-                    for clip, value in zip(flat, values)]
+        features = recomputed(_encode_frames, flat, params)
     else:
         features = [_encode_frames(clip, params) for clip in flat]
     encoded, start = [], 0

@@ -12,11 +12,13 @@ pass moves past them. Afterwards the tape is empty and only leaves (the
 parameters and any input tensor created with ``requires_grad``) keep a
 ``grad``; intermediates do not.
 
-``recomputed`` trades compute for memory (gradient checkpointing): it runs a
-function with no tape and records it as one entry, whose closure re-runs the
-function under a local tape and replays that tape with the output's gradient.
-Entries taken into a ``RecomputeGroup`` have the next entry's local tape
-rebuilt on a worker thread while the current one replays.
+``recomputed`` trades compute for memory (gradient checkpointing): it maps a
+function over items with no tape, on a pool of threads, and records one entry
+per output, whose closure re-runs the function under a local tape and replays
+that tape with the output's gradient. While one entry replays, a worker
+thread rebuilds the local tape of the next. This module owns those threads:
+the forward's pool lives for one call and the worker for that call's
+replay, and glibc's malloc is held to one arena.
 
 The stack of active tapes is per thread: an op records on a tape only when
 its own thread entered it, so ops a worker thread runs are untaped unless the
@@ -25,9 +27,13 @@ worker entered a tape of its own.
 
 from __future__ import annotations
 
+import ctypes
+import itertools
+import os
 import threading
-from contextlib import ExitStack
-from typing import TYPE_CHECKING, Callable, ContextManager, Sequence
+from contextlib import ExitStack, contextmanager
+from functools import cache
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +41,9 @@ from ..errors import ContractError, NumericError, ShapeError
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor, Future
+
+# mallopt's parameter number for the arena count (glibc's malloc.h).
+M_ARENA_MAX = -8
 
 __all__ = [
     "Tensor",
@@ -59,7 +68,6 @@ __all__ = [
     "reshape",
     "transpose",
     "recomputed",
-    "RecomputeGroup",
     "glorot_uniform",
 ]
 
@@ -195,124 +203,116 @@ def _active_tape() -> Tape | None:
     return stack[-1] if stack else None
 
 
-def recomputed(fn: Callable[..., Tensor], *args, value: Tensor | None = None,
-               group: RecomputeGroup | None = None) -> Tensor:
-    """``fn(*args)``, recorded on the active tape as one entry.
+@cache
+def _libc(name: str, *argtypes):
+    """The C library's int-returning function ``name``, or None where it
+    has none (not glibc)."""
+    fn = getattr(ctypes.CDLL(None), name, None)
+    if fn is not None:
+        fn.argtypes, fn.restype = argtypes, ctypes.c_int
+    return fn
 
-    ``fn`` runs with no tape, so none of its intermediates is kept. In
-    backward the entry re-runs ``fn(*args)`` under a local tape and replays
-    that with the output's gradient (Chen et al., *Training Deep Nets with
-    Sublinear Memory Cost*, arXiv 1604.06174). ``fn`` must be deterministic:
-    the replay visits its ops in the same reverse order as a plain tape, so
-    every input receives the same contributions in the same order and the
-    gradients are bit-identical. ``value``, when given, is ``fn(*args)``
-    already run with no tape (on a worker thread, say); it is recorded as
-    the output instead of running ``fn`` again. ``group``, when given, takes
-    the entry into a group of entries whose local tapes are rebuilt ahead of
-    their replay (see ``RecomputeGroup``).
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextmanager
+def _threads(workers: int) -> Iterator[Executor]:
+    """An executor of ``workers`` threads, shut down when the block exits.
+
+    Every thread allocates from glibc's main arena: memory a worker frees
+    would otherwise stay in that thread's own arena and lift every later
+    peak. Once the workers stop, the arena's free pages go back to the
+    system, so they do not add to the next peak either. The shutdown drops
+    the work not yet started and waits for the work running."""
+    # Imported here: concurrent.futures adds about 0.7 MB to a process that
+    # never makes a pool, such as one that trains at desk geometry.
+    from concurrent.futures import ThreadPoolExecutor
+
+    mallopt = _libc("mallopt", ctypes.c_int, ctypes.c_int)
+    trim = _libc("malloc_trim", ctypes.c_size_t)
+    if mallopt is not None:
+        mallopt(M_ARENA_MAX, 1)
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+        if trim is not None:
+            trim(0)
+
+
+def recomputed(fn: Callable[..., Tensor], items: Sequence, *shared) -> list[Tensor]:
+    """``[fn(item, *shared) for item in items]``, each output recorded on the
+    active tape as one entry, in item order; with no tape active nothing is
+    recorded.
+
+    ``fn`` runs with no tape, on a pool of one thread per usable core
+    (``os.sched_getaffinity``) and at most one per item, made for this call:
+    numpy's GEMMs release the GIL, so the threads overlap, and a process
+    forked later copies none of them. An error in any item is raised here
+    once every thread has stopped, and the items not yet started are
+    dropped.
+
+    In backward an entry re-runs ``fn`` under a local tape and replays that
+    with the output's gradient (Chen et al., *Training Deep Nets with
+    Sublinear Memory Cost*, arXiv 1604.06174). While the calling thread
+    replays one entry, one worker rebuilds the local tape of the closest
+    earlier entry whose output has a gradient; an entry with none is never
+    rebuilt. Whatever uses an output was recorded after every entry, so the
+    gradients are all known when the first entry replays, and the entry
+    rebuilt ahead is the next to replay. The worker is started when an
+    entry replays with another to follow, and stopped when the last has
+    replayed or a rebuild or replay raised. ``fn`` must be deterministic:
+    every replay runs on the calling thread, in reverse item order, and
+    visits its ops in the reverse order of a plain tape, so every input
+    receives the same contributions in the same order and the gradients are
+    the same bits as without recomputation.
     """
+    items = list(items)  # a slot is let go once its entry is rebuilt
+    with _threads(min(_usable_cores(), len(items))) as pool:
+        outs = list(pool.map(fn, items, *(itertools.repeat(s) for s in shared)))
     tape = _active_tape()
-    out = value
-    if out is None:
-        if tape is None:
-            return fn(*args)
-        _TAPES.stack.append(None)
+    if tape is None:
+        return outs
+    worker = ExitStack()
+    prefetch: Executor | None = None
+    ahead: Future | None = None
+
+    def rebuild(i: int) -> tuple[Tape, Tensor]:
+        item, items[i] = items[i], None
+        with Tape() as local:
+            out = fn(item, *shared)
+        return local, out
+
+    def replay(i: int, g: np.ndarray) -> None:
+        nonlocal prefetch, ahead
         try:
-            out = fn(*args)
-        finally:
-            _TAPES.stack.pop()
-    if tape is not None and out.requires_grad:
-        if group is None:
-            def bwd(g: np.ndarray) -> None:
-                _replay(_rebuild(fn, args), g)
-        else:
-            index = group._add(tape, out, fn, args)
-
-            def bwd(g: np.ndarray) -> None:
-                group._replay(index, g)
-
-        tape.record(out, bwd)
-    return out
-
-
-def _rebuild(fn: Callable[..., Tensor], args: tuple) -> tuple[Tape, Tensor]:
-    """``fn(*args)`` under a fresh local tape: (that tape, the output)."""
-    with Tape() as local:
-        out = fn(*args)
-    return local, out
-
-
-def _replay(built: tuple[Tape, Tensor], g: np.ndarray) -> None:
-    local, out = built
-    out.grad = g
-    local.backward(out)
-
-
-class RecomputeGroup:
-    """``recomputed`` entries recorded one after another on one tape, whose
-    local tapes are rebuilt one ahead of their replay.
-
-    Whatever uses an entry's output was recorded after the whole group, so
-    when the first entry replays, every entry's gradient is known. While the
-    calling thread replays one entry's local tape, one worker rebuilds the
-    local tape of the next entry the replay will reach: the closest earlier
-    one whose output has a gradient. An entry with none is never rebuilt.
-    (An entry whose output feeds another entry's arguments may get its
-    gradient only as that one replays; it is then rebuilt on the calling
-    thread, and the rebuild ahead waits for its turn.) The replays, and
-    with them every gradient contribution, stay on the calling thread in
-    the order of a plain tape, so the gradients are the same bits as
-    without the group.
-
-    ``pool()`` gives a context manager holding an executor with one worker
-    thread. It is entered when an entry replays with another still to
-    follow, and left when the last one has replayed or a rebuild or replay
-    raised, so the worker lives only while the group replays and an error
-    reaches the caller once it has stopped.
-    """
-
-    def __init__(self, pool: Callable[[], ContextManager[Executor]]):
-        self._pool = pool
-        self._members: list[tuple[Tensor, Callable[..., Tensor], tuple] | None] = []
-        self._worker: ExitStack | None = None
-        self._executor: Executor | None = None
-        self._ahead: tuple[int, Future] | None = None
-
-    def _add(self, tape: Tape, out: Tensor, fn: Callable[..., Tensor], args: tuple) -> int:
-        if self._members and (not len(tape) or tape._entries[-1][0] is not self._members[-1][0]):
-            raise ContractError("a recompute group's entries must follow one another on one tape")
-        self._members.append((out, fn, args))
-        return len(self._members) - 1
-
-    def _replay(self, index: int, g: np.ndarray) -> None:
-        try:
-            if self._ahead is not None and self._ahead[0] == index:
-                built = self._ahead[1].result()
-                self._ahead = None
-            else:  # nothing rebuilt ahead, or an entry further back (see above)
-                built = _rebuild(*self._members[index][1:])
-            self._members[index] = None
-            following = next((j for j in range(index - 1, -1, -1)
-                              if self._members[j][0].grad is not None), None)
-            if following is not None and self._ahead is None:
-                if self._worker is None:
-                    self._worker = ExitStack()
-                    self._executor = self._worker.enter_context(self._pool())
-                self._ahead = following, self._executor.submit(
-                    _rebuild, *self._members[following][1:])
-            _replay(built, g)
-            del built
+            local, out = ahead.result() if ahead is not None else rebuild(i)
+            ahead = None
+            following = next((j for j in range(i - 1, -1, -1) if outs[j].grad is not None),
+                             None)
+            if following is not None:
+                if prefetch is None:
+                    prefetch = worker.enter_context(_threads(1))
+                ahead = prefetch.submit(rebuild, following)
+            out.grad = g
+            local.backward(out)
         except BaseException:
-            self._close()
+            worker.close()
             raise
         if following is None:
-            self._close()
-
-    def _close(self) -> None:
-        self._ahead = self._executor = None
-        worker, self._worker = self._worker, None
-        if worker is not None:
             worker.close()
+
+    for i, out in enumerate(outs):
+        if out.requires_grad:
+            # A function made here, not a partial: the benchmark's tracer
+            # names an entry's backward span after its __qualname__.
+            tape.record(out, lambda g, i=i: replay(i, g))
+    return outs
 
 
 def _finish(op: str, data: np.ndarray, inputs: Sequence[Tensor],

@@ -292,6 +292,8 @@ def run_fold(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
 
     params = init_model(model_cfg)
     state, history = None, []
+    # A fold with no checkpoint yet (a run killed in its first epoch) starts at epoch 1.
+    resume = resume and ckpt_path.exists()
     if resume:
         m, v, t, history = load_checkpoint(ckpt_path, params)
         state = AdamState(lr=train_cfg.lr, m=m, v=v, t=t)

@@ -2,13 +2,17 @@
 
 import dataclasses
 import hashlib
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sdscreen
 from sdscreen.cli import (
     DEFAULTS,
     gradcheck_cases,
@@ -16,7 +20,7 @@ from sdscreen.cli import (
     resolve_config,
     run_gradchecks,
 )
-from sdscreen.dataset import Dataset, Subject, load_dataset
+from sdscreen.dataset import Dataset, Subject, load_dataset, read_frames, save_frames
 from sdscreen.errors import ConfigError, DataError, NumericError
 from sdscreen import trainer
 from sdscreen.model import ModelConfig, init_model, load_checkpoint
@@ -114,6 +118,18 @@ def run_dir(tmp_path_factory, config_file, data_dir):
                  "--config", config_file])
     assert code == 0
     return out
+
+
+def test_importing_the_cli_loads_no_executor_module():
+    # Only a pool loads concurrent.futures: a desk-geometry run without
+    # --jobs never makes one, and the module adds about 0.7 MB.
+    src = str(Path(sdscreen.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", "import sys, sdscreen.cli; "
+                           "print('concurrent.futures' in sys.modules)"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_resolve_config_defaults_and_overrides(config_file):
@@ -446,26 +462,34 @@ def test_train_refuses_a_truncated_frames_payload(config_file, data_dir, tmp_pat
 def test_frames_damaged_after_an_epoch_stop_train_naming_the_file(config_file, data_dir,
                                                                    tmp_path, capsys,
                                                                    monkeypatch):
-    data = tmp_path / "data"
-    shutil.copytree(data_dir, data)
-    train_subjects, _ = fold_subject_sets(load_dataset(data), 2, 0, 0)
-    damaged = data / train_subjects[0].frame_files[0]
-    save_checkpoint = trainer.save_checkpoint
+    def truncate(path):
+        path.write_bytes(path.read_bytes()[:-7])
 
-    def save_then_damage(*args):
-        save_checkpoint(*args)
-        damaged.write_bytes(damaged.read_bytes()[:-7])
+    def shrink(path):  # a well-formed file of another frame size
+        save_frames(path, np.ascontiguousarray(read_frames(path)[:, :10, :10]))
 
-    monkeypatch.setattr(trainer, "save_checkpoint", save_then_damage)
-    out = tmp_path / "run"
-    assert main(["train", "--data", str(data), "--out", str(out), "--config", config_file,
-                 "--fold", "0", "--set", "epochs=2"]) == 2
-    monkeypatch.undo()
-    assert f"error: {damaged}: frames payload ends at offset" in one_error_line(capsys)
-    # Epoch 2 read the damaged file; epoch 1's checkpoint is whole.
-    params = init_model(build(ModelConfig, resolve_config(config_file)))
-    _, _, _, history = load_checkpoint(out / "fold0.ckpt", params)
-    assert [r.epoch for r in history] == [1]
+    for damage, message in ((truncate, "frames payload ends at offset"),
+                            (shrink, "holds 10x10 frames, manifest declares 12x12")):
+        data = tmp_path / damage.__name__ / "data"
+        shutil.copytree(data_dir, data)
+        train_subjects, _ = fold_subject_sets(load_dataset(data), 2, 0, 0)
+        damaged = data / train_subjects[0].frame_files[0]
+        save_checkpoint = trainer.save_checkpoint
+
+        def save_then_damage(*args):
+            save_checkpoint(*args)
+            damage(damaged)
+
+        monkeypatch.setattr(trainer, "save_checkpoint", save_then_damage)
+        out = data.parent / "run"
+        assert main(["train", "--data", str(data), "--out", str(out), "--config", config_file,
+                     "--fold", "0", "--set", "epochs=2"]) == 2
+        monkeypatch.undo()
+        assert f"error: {damaged}: {message}" in one_error_line(capsys)
+        # Epoch 2 read the damaged file; epoch 1's checkpoint is whole.
+        params = init_model(build(ModelConfig, resolve_config(config_file)))
+        _, _, _, history = load_checkpoint(out / "fold0.ckpt", params)
+        assert [r.epoch for r in history] == [1]
 
 
 def test_synth_refuses_a_clip_len_no_model_accepts(tmp_path, capsys):
@@ -531,6 +555,24 @@ def test_resume_with_damaged_history_exits_two(history, config_file, data_dir,
     assert main(["train", "--data", data_dir, "--out", str(resumed), "--fold", "0",
                  "--resume", "--set", "epochs=3", "--config", config_file]) == 2
     assert "meta.history" in one_error_line(capsys)
+
+
+def test_resume_starts_a_fold_without_a_checkpoint_at_epoch_one(config_file, data_dir,
+                                                                run_dir, tmp_path, capsys):
+    # A run killed in fold 1's first epoch leaves fold 0's checkpoint and none of fold 1's.
+    out = tmp_path / "run"
+    assert main(["train", "--data", data_dir, "--out", str(out), "--fold", "0",
+                 "--config", config_file]) == 0
+    assert main(["train", "--data", data_dir, "--out", str(out), "--resume",
+                 "--config", config_file]) == 0
+    for name in ("fold0.ckpt", "fold0_history.csv", "fold1.ckpt", "fold1_history.csv"):
+        assert (out / name).read_bytes() == (run_dir / name).read_bytes()
+    capsys.readouterr()
+    damaged = out / "fold1.ckpt"
+    damaged.write_bytes(damaged.read_bytes()[:-9])
+    assert main(["train", "--data", data_dir, "--out", str(out), "--fold", "1", "--resume",
+                 "--config", config_file]) == 2
+    assert one_error_line(capsys).startswith("error: ")
 
 
 def test_resume_under_another_ablation_exits_one(config_file, data_dir, run_dir,

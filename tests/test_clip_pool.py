@@ -71,7 +71,7 @@ def test_pooled_batch_features_and_gradients_equal_the_serial_path(data, monkeyp
     serial = taped_batch(data, monkeypatch)
     assert serial[3] == {threading.get_ident()}
     monkeypatch.setattr(encoder3d, "RECOMPUTE_BYTES", 0)
-    monkeypatch.setattr(encoder3d, "_usable_cores", lambda: 3)  # more workers than cores
+    monkeypatch.setattr(tensor, "_usable_cores", lambda: 3)  # more workers than cores
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
     try:
@@ -85,24 +85,25 @@ def test_pooled_batch_features_and_gradients_equal_the_serial_path(data, monkeyp
 
 
 def test_prefetched_replay_equals_the_serial_replay(data, monkeypatch):
+    """The prefetching replay gives the plain tape's loss and gradients on one
+    usable core as on three: the prefetch worker runs whatever the count."""
+    plain = taped_batch(data, monkeypatch)
     monkeypatch.setattr(encoder3d, "RECOMPUTE_BYTES", 0)
-    monkeypatch.setattr(encoder3d, "_usable_cores", lambda: 1)
-    serial = taped_batch(data, monkeypatch)
-    assert serial[4] == {threading.get_ident()}  # no prefetch on one core
-    monkeypatch.setattr(encoder3d, "_usable_cores", lambda: 3)
     baseline = threading.active_count()
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        prefetched = taped_batch(data, monkeypatch)
-    finally:
-        sys.setswitchinterval(interval)
-    assert threading.active_count() == baseline
-    # Each subject's first replayed clip is rebuilt on the calling thread,
-    # the others on the prefetch worker.
-    assert threading.get_ident() in prefetched[4] and len(prefetched[4]) > 1
-    assert prefetched[1] == serial[1]
-    assert prefetched[2] == serial[2]
+    for cores in (1, 3):
+        monkeypatch.setattr(tensor, "_usable_cores", lambda: cores)
+        sys.setswitchinterval(1e-6)
+        try:
+            prefetched = taped_batch(data, monkeypatch)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == baseline
+        # Each subject's first replayed clip is rebuilt on the calling thread,
+        # the others on the prefetch worker.
+        assert threading.get_ident() in prefetched[4] and len(prefetched[4]) > 1
+        assert prefetched[1] == plain[1]
+        assert prefetched[2] == plain[2]
 
 
 def test_a_thread_records_nothing_on_the_tape_of_another():
@@ -131,7 +132,7 @@ def failing_on_third_clip(monkeypatch):
         return encode(clip, enc)
 
     monkeypatch.setattr(encoder3d, "RECOMPUTE_BYTES", 0)
-    monkeypatch.setattr(encoder3d, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(tensor, "_usable_cores", lambda: 3)
     monkeypatch.setattr(encoder3d, "_encode_frames", fail)
 
 
@@ -170,7 +171,7 @@ def failing_in_a_prefetched_rebuild(monkeypatch):
         return encode(clip, enc)
 
     monkeypatch.setattr(encoder3d, "RECOMPUTE_BYTES", 0)
-    monkeypatch.setattr(encoder3d, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(tensor, "_usable_cores", lambda: 3)
     monkeypatch.setattr(encoder3d, "_encode_frames", fail)
 
 
@@ -230,7 +231,7 @@ def test_a_clip_without_gradient_is_neither_rebuilt_nor_left_on_a_worker(monkeyp
 
     baseline = threading.active_count()
     monkeypatch.setattr(encoder3d, "RECOMPUTE_BYTES", 0)
-    monkeypatch.setattr(encoder3d, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(tensor, "_usable_cores", lambda: 3)
     monkeypatch.setattr(encoder3d, "_encode_frames", spy)
     assert step() == plain
     assert [i for i, _ in rebuilt] == [2, 0]

@@ -7,7 +7,7 @@ plain tape, bit for bit.
 """
 
 import threading
-from functools import partial
+import weakref
 
 import numpy as np
 import pytest
@@ -15,10 +15,9 @@ import pytest
 from sdscreen import encoder3d, model, trainer
 from sdscreen.clipper import segment
 from sdscreen.encoder3d import build_plan, encode_question_clips, init_encoder
-from sdscreen.errors import ContractError, ShapeError
+from sdscreen.errors import ShapeError
 from sdscreen.fusion import bce_loss
 from sdscreen.numerics import (
-    RecomputeGroup,
     Tape,
     Tensor,
     add,
@@ -29,6 +28,7 @@ from sdscreen.numerics import (
     recomputed,
     stack,
     sum_sorted,
+    tensor,
 )
 from sdscreen.synth import SynthConfig, generate
 
@@ -129,7 +129,7 @@ def test_recomputed_holds_its_arguments_and_gives_plain_gradients():
         return mul(mul(t, t), t)
 
     with Tape() as tape:
-        out = recomputed(cube, x)
+        [out] = recomputed(cube, [x])
         loss = dot(out, Tensor(np.array([1.0, -3.0, 2.0])))
     assert len(tape) == 2  # the recomputed entry and the dot
     tape.backward(loss)
@@ -137,7 +137,7 @@ def test_recomputed_holds_its_arguments_and_gives_plain_gradients():
     want = 3.0 * x.data ** 2 * np.array([1.0, -3.0, 2.0])
     assert np.array_equal(x.grad, want)
 
-    untaped = recomputed(cube, x)  # with no tape active it is a plain call
+    [untaped] = recomputed(cube, [x])  # with no tape active it is a plain map
     assert np.array_equal(untaped.data, x.data ** 3)
 
 
@@ -176,33 +176,49 @@ def times_square(t, u):
     return mul(mul(t, t), u)
 
 
-def group_gradients(group):
-    """x's and y's gradients through three recomputed entries, the last of
-    which takes the second's output, so the second gets its gradient only
-    when the last replays."""
+def plain_map(fn, items, *shared):
+    return [fn(item, *shared) for item in items]
+
+
+def chained_gradients(record):
+    """x's and y's gradients through two calls of ``record``, the second of
+    which maps over the first's second output, so that output gets its
+    gradient only when the second call's entry replays."""
     x = Tensor(np.array([1.5, -2.0, 0.25]), requires_grad=True)
     y = Tensor(np.array([0.5, 3.0, -1.0]), requires_grad=True)
     with Tape() as tape:
-        a = recomputed(cube, x, group=group)
-        b = recomputed(cube, y, group=group)
-        c = recomputed(times_square, b, x, group=group)
+        a, b = record(cube, [x, y])
+        [c] = record(times_square, [b], x)
         loss = dot(add(a, c), Tensor(np.array([1.0, -3.0, 2.0])))
     tape.backward(loss)
     return x.grad.tobytes(), y.grad.tobytes()
 
 
-def test_a_group_replays_an_entry_that_gains_its_gradient_late_on_the_caller():
+def test_chained_calls_give_the_plain_gradients_and_stop_their_threads(monkeypatch):
+    plain = chained_gradients(plain_map)
+    monkeypatch.setattr(tensor, "_usable_cores", lambda: 3)
     baseline = threading.active_count()
-    prefetched = group_gradients(RecomputeGroup(partial(encoder3d._threads, 1)))
+    assert chained_gradients(recomputed) == plain
     assert threading.active_count() == baseline
-    assert prefetched == group_gradients(None)
 
 
-def test_a_group_refuses_entries_apart_on_the_tape():
-    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    group = RecomputeGroup(partial(encoder3d._threads, 1))
-    with Tape():
-        recomputed(cube, x, group=group)
-        mul(x, x)
-        with pytest.raises(ContractError, match="follow one another"):
-            recomputed(cube, x, group=group)
+def test_an_item_is_let_go_once_its_entry_is_rebuilt(monkeypatch):
+    """A paper-length subject's clips hold about 60 MB of frames: each item
+    is freed once its entry is rebuilt, not when the whole call has replayed."""
+    monkeypatch.setattr(tensor, "_usable_cores", lambda: 3)
+    w = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    refs, alive, lock = {}, [], threading.Lock()
+
+    def scaled(item, weight):
+        if tensor._active_tape() is None:  # the untaped forward, on the pool
+            with lock:
+                refs[int(item[0])] = weakref.ref(item)
+        else:  # a rebuild
+            alive.append((int(item[0]), sorted(k for k, ref in refs.items() if ref() is not None)))
+        return mul(Tensor(item.copy()), weight)  # the local tape holds a copy
+
+    with Tape() as tape:
+        outs = recomputed(scaled, (np.full(2, float(k)) for k in range(4)), w)
+        loss = dot(add(add(outs[0], outs[1]), add(outs[2], outs[3])), Tensor(np.ones(2)))
+    tape.backward(loss)
+    assert alive == [(3, [0, 1, 2, 3]), (2, [0, 1, 2]), (1, [0, 1]), (0, [0])]
