@@ -6,7 +6,9 @@ inline overrides (``--set key=value``) resolve into one dictionary, which
 ``train`` records in the run's ``config.txt`` for ``eval``. ``settings`` holds
 the schema and the one reader and writer of ``key = value`` text. Unknown keys,
 and a key given twice in one source, are rejected. Exit codes: 0 success,
-1 usage/config problems, 2 data/format/file problems, 3 numeric failures.
+1 usage/config problems, 2 data/format/file problems, 3 numeric failures,
+4 a ``--jobs`` fold process died, 130 interrupted (Ctrl-C). Each failure
+prints one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .numerics import Tensor, dot
 from .numerics.gradcheck import gradcheck
 from .plots import line_plot_svg
 from .ras import RasConfig, encode_question, init_ras
-from .settings import build, flatten, pairs_text, read_pairs, split_pairs
+from .settings import build, flatten, pairs_text, parse_pairs, split_pairs
 from .synth import SynthConfig, disagreement_cells, generate
 from .trainer import (
     METRIC_KEYS,
@@ -99,7 +101,7 @@ def resolve_config(config_file: str | None = None,
         path = Path(config_file)
         if not path.is_file():
             raise ConfigError(f"config file missing: {path}")
-        sources.append(read_pairs(path, ConfigError))
+        sources.append(parse_pairs(path, path.read_bytes(), ConfigError))
     sources.append(split_pairs((("--set", item) for item in overrides or []), ConfigError))
     for where, key, value in itertools.chain(*sources):
         if key not in DEFAULTS:
@@ -186,7 +188,7 @@ def _check_run_data(run_dir: Path, dataset: Dataset) -> None:
     path = run_dir / RUN_DATA
     if not path.is_file():
         raise FormatError(f"run dataset record missing: {path}")
-    pairs = {key: value for _, key, value in read_pairs(path, FormatError)}
+    pairs = {key: value for _, key, value in parse_pairs(path, path.read_bytes(), FormatError)}
     if set(pairs) != {"manifest_sha256"}:
         raise FormatError(f"{path}: expected the one key 'manifest_sha256', got {sorted(pairs)}")
     if pairs["manifest_sha256"] != dataset.manifest_sha256:
@@ -243,11 +245,24 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     fold_args = [(dataset, model_cfg, train_cfg, fold, out_dir, args.resume) for fold in folds]
     if args.jobs > 1 and len(folds) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a --jobs run loads it
+        # Only a --jobs run loads concurrent.futures.
+        from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        pool = ProcessPoolExecutor(max_workers=args.jobs)
+        try:
             jobs = [pool.submit(run_fold, *a) for a in fold_args]
-            results = [job.result() for job in jobs]
+            wait(jobs, return_when=FIRST_EXCEPTION)
+        finally:  # the first error, or an interrupt, drops the folds no process has taken
+            pool.shutdown(cancel_futures=True)
+        lost = [f"fold {fold}" for fold, job in zip(folds, jobs)
+                if not job.cancelled() and isinstance(job.exception(), BrokenProcessPool)]
+        if lost:  # a dead process fails every unfinished fold; the pool does not tell which it ran
+            print(f"error: a fold process died (killed, or it exited), so {', '.join(lost)} "
+                  "did not finish; --resume continues the run", file=sys.stderr)
+            return 4
+        # Folds no process took come after every fold taken: the first failed one raises.
+        results = [job.result() for job in jobs]
     else:
         results = [run_fold(*a) for a in fold_args]
     _write_curves(out_dir, {fold: rows for fold, (rows, _) in zip(folds, results)})
@@ -383,8 +398,9 @@ def gradcheck_cases() -> list[tuple[str, object]]:
         params = init_model(config)
         for w in params.ras.omegas:
             w.data = rng.normal(scale=0.5, size=4)
-        frames = [rng.integers(0, 256, size=(4, 12, 12)).astype(np.uint8)
-                  for _ in range(QUESTION_COUNT)]
+        # Two questions of 8 frames give M = 3 clips, where attention acts.
+        frames = [rng.integers(0, 256, size=(8 if q < 2 else 4, 12, 12)).astype(np.uint8)
+                  for q in range(QUESTION_COUNT)]
         video = SubjectVideo(frames=frames)
         subject = Subject(
             "gc0001", 1,
@@ -507,6 +523,7 @@ def _one_blas_thread() -> None:
 def main(argv: list[str] | None = None) -> int:
     _one_blas_thread()
     parser = _build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         if args.command == "eval" and args.baseline is None and args.run is None:
@@ -521,6 +538,10 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:  # every fold's checkpoint holds its last finished epoch
+        resume = "; --resume continues the run" if args and args.command == "train" else ""
+        print(f"error: interrupted{resume}", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, FormatError
-from .settings import pairs_text, read_pairs
+from .settings import pairs_text, parse_pairs
 
 __all__ = [
     "QUESTION_COUNT",
@@ -210,16 +210,20 @@ def _pop(pairs: dict[str, str], key: str) -> str:
 
 
 def load_manifest(path: Path | str) -> Dataset:
-    """The dataset a manifest describes; errors past the ``key = value``
-    grammar start with the manifest's path."""
+    """The dataset a manifest describes, with the digest of the bytes parsed
+    as ``manifest_sha256``; errors past the ``key = value`` grammar start
+    with the manifest's path."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"manifest missing: {path}")
-    pairs = {key: value for _, key, value in read_pairs(path, FormatError)}
+    blob = path.read_bytes()
+    pairs = {key: value for _, key, value in parse_pairs(path, blob, FormatError)}
     try:
-        return _parse_manifest(pairs, path.parent)
+        dataset = _parse_manifest(pairs, path.parent)
     except (FormatError, DataError) as e:
         raise type(e)(f"{path}: {e}") from None
+    dataset.manifest_sha256 = hashlib.sha256(blob).hexdigest()
+    return dataset
 
 
 def _parse_manifest(pairs: dict[str, str], root: Path) -> Dataset:
@@ -263,13 +267,10 @@ def load_dataset(root: Path | str) -> Dataset:
 
     Each referenced file must exist, pass the frames check on its header and
     size, and declare the manifest's frame extents. The fewest frames any
-    header declares is kept as ``min_frames``, and the manifest's digest as
-    ``manifest_sha256``. No pixels are read here.
+    header declares is kept as ``min_frames``. No pixels are read here.
     """
     root = Path(root)
-    manifest = root / "manifest.txt"
-    dataset = load_manifest(manifest)
-    dataset.manifest_sha256 = hashlib.sha256(manifest.read_bytes()).hexdigest()
+    dataset = load_manifest(root / "manifest.txt")
     counts = []
     for s in dataset.subjects:
         for name in s.frame_files:

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: config/usage problems -> 1,
-data/format problems -> 2, numeric failures -> 3.
+data/format problems -> 2, numeric failures -> 3. It also exits 4 when a
+``train --jobs`` fold process dies and 130 on an interrupt (Ctrl-C).
 """
 
 

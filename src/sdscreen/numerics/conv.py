@@ -125,21 +125,20 @@ def conv3d(x: Tensor, kernels: Tensor, bias: Tensor,
         out += bias.data
     data = data.reshape(oh, ow, ot, cout)
 
-    x_req, k_req, b_req = x.requires_grad, kernels.requires_grad, bias.requires_grad
+    x_req = x.requires_grad  # False for a clip, the stage-0 input: a whole pass skipped
 
     # Each del in backward frees a block's arrays before the next block makes its own.
     def bwd(g: np.ndarray) -> None:
         gmat = g.reshape(m, cout)
-        if k_req:
-            # Each forward block's term of every dh slab goes straight into grad.
-            for h0 in range(0, oh, block):
-                h1 = min(h0 + block, oh)
-                rows = _rows(padded[h0:h1 + kh - 1], kw, kt)
-                for dh in range(kh):
-                    slab = gmat[h0 * n:h1 * n].T @ rows[dh * n:(dh + h1 - h0) * n]
-                    kernels.accumulate_grad(slab.reshape(cout, kw, kt, cin), at=(slice(None), dh))
-                    del slab
-                del rows
+        # Each forward block's term of every dh slab goes straight into grad.
+        for h0 in range(0, oh, block):
+            h1 = min(h0 + block, oh)
+            rows = _rows(padded[h0:h1 + kh - 1], kw, kt)
+            for dh in range(kh):
+                slab = gmat[h0 * n:h1 * n].T @ rows[dh * n:(dh + h1 - h0) * n]
+                kernels.accumulate_grad(slab.reshape(cout, kw, kt, cin), at=(slice(None), dh))
+                del slab
+            del rows
         if x_req:
             # Padded rows p0 .. p1 - 1 gather their dh terms in the row layout,
             # in the order one block gives them, then fold every (dw, dt)
@@ -167,8 +166,7 @@ def conv3d(x: Tensor, kernels: Tensor, bias: Tensor,
             del part
             sp, tp = spatial_pad, temporal_pad
             x.accumulate_grad(gpad[sp:sp + h, sp:sp + w, tp:tp + t, :])
-        if b_req:
-            bias.accumulate_grad(gmat.sum(axis=0))
+        bias.accumulate_grad(gmat.sum(axis=0))
 
     return _finish("conv3d", data, (x, kernels, bias), bwd)
 
@@ -194,19 +192,18 @@ def maxpool3d(x: Tensor, window: tuple[int, int, int]) -> Tensor:
     data = x.data.reshape(oh, ph, ow, pw, ot, pt, c).max(axis=(1, 3, 5))
 
     def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            blocks = x.data.reshape(oh, ph, ow, pw, ot, pt, c)
-            gx = np.empty_like(x.data)
-            gblocks = gx.reshape(blocks.shape)
-            hit = np.empty(data.shape, dtype=bool)
-            routed = np.zeros(data.shape, dtype=bool)
-            for i, j, k in np.ndindex(ph, pw, pt):
-                np.equal(blocks[:, i, :, j, :, k, :], data, out=hit)
-                np.greater(hit, routed, out=hit)  # a max, and the window's first
-                routed |= hit
-                # -0.0 where a negative g is not routed; accumulate_grad's
-                # first add of 0.0 turns it into the 0.0 argmax routing wrote.
-                np.multiply(g, hit, out=gblocks[:, i, :, j, :, k, :])
-            x.accumulate_grad(gx)
+        blocks = x.data.reshape(oh, ph, ow, pw, ot, pt, c)
+        gx = np.empty_like(x.data)
+        gblocks = gx.reshape(blocks.shape)
+        hit = np.empty(data.shape, dtype=bool)
+        routed = np.zeros(data.shape, dtype=bool)
+        for i, j, k in np.ndindex(ph, pw, pt):
+            np.equal(blocks[:, i, :, j, :, k, :], data, out=hit)
+            np.greater(hit, routed, out=hit)  # a max, and the window's first
+            routed |= hit
+            # -0.0 where a negative g is not routed; accumulate_grad's
+            # first add of 0.0 turns it into the 0.0 argmax routing wrote.
+            np.multiply(g, hit, out=gblocks[:, i, :, j, :, k, :])
+        x.accumulate_grad(gx)
 
     return _finish("maxpool3d", data, (x,), bwd)

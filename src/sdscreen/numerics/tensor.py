@@ -114,7 +114,10 @@ class Tensor:
 
     def accumulate_grad(self, contribution: np.ndarray, at: tuple | None = None) -> None:
         """Add ``contribution`` to ``grad``, or to the part ``grad[at]`` of it
-        (a basic index); a part added before any other gradient lands on zeros."""
+        (a basic index); a part added before any other gradient lands on zeros.
+        A tensor that takes no gradient ignores every contribution."""
+        if not self.requires_grad:
+            return
         shape = self.data.shape if at is None else self.data[at].shape
         if contribution.shape != shape:
             raise ShapeError(
@@ -188,11 +191,10 @@ class Tape:
             del out, backward_fn, grad
 
 
-# Each thread's stack of entered tapes; None on it turns recording off until
-# it is popped.
+# Each thread's stack of entered tapes; ops record on the innermost.
 class _ThreadTapes(threading.local):
     def __init__(self) -> None:
-        self.stack: list[Tape | None] = []
+        self.stack: list[Tape] = []
 
 
 _TAPES = _ThreadTapes()
@@ -316,7 +318,7 @@ def recomputed(fn: Callable[..., Tensor], items: Sequence, *shared) -> list[Tens
 
 
 def _finish(op: str, data: np.ndarray, inputs: Sequence[Tensor],
-            backward_fn: Callable[[np.ndarray], None] | None) -> Tensor:
+            backward_fn: Callable[[np.ndarray], None]) -> Tensor:
     """Wrap an op result: finiteness check, grad flag, tape registration."""
     if not np.all(np.isfinite(data)):
         raise NumericError(f"{op} produced non-finite values")
@@ -327,7 +329,7 @@ def _finish(op: str, data: np.ndarray, inputs: Sequence[Tensor],
     out.grad = None
     out._tape = None
     tape = _active_tape()
-    if requires and tape is not None and backward_fn is not None:
+    if requires and tape is not None:
         tape.record(out, backward_fn)
     return out
 
@@ -358,10 +360,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.shape))
+        a.accumulate_grad(_unbroadcast(g, a.shape))
+        b.accumulate_grad(_unbroadcast(g, b.shape))
 
     return _finish("add", data, (a, b), bwd)
 
@@ -371,10 +371,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     data = a.data - b.data
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g, b.shape))
+        a.accumulate_grad(_unbroadcast(g, a.shape))
+        b.accumulate_grad(_unbroadcast(-g, b.shape))
 
     return _finish("sub", data, (a, b), bwd)
 
@@ -385,10 +383,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     a_data, b_data = a.data, b.data
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b_data, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a_data, b.shape))
+        a.accumulate_grad(_unbroadcast(g * b_data, a.shape))
+        b.accumulate_grad(_unbroadcast(g * a_data, b.shape))
 
     return _finish("mul", data, (a, b), bwd)
 
@@ -401,10 +397,8 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     b_data, out_data = b.data, data
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g / b_data, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g * out_data / b_data, b.shape))
+        a.accumulate_grad(_unbroadcast(g / b_data, a.shape))
+        b.accumulate_grad(_unbroadcast(-g * out_data / b_data, b.shape))
 
     return _finish("div", data, (a, b), bwd)
 
@@ -413,8 +407,7 @@ def add_scalar(a: Tensor, c: float) -> Tensor:
     data = a.data + float(c)
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g)
+        a.accumulate_grad(g)
 
     return _finish("add_scalar", data, (a,), bwd)
 
@@ -424,8 +417,7 @@ def mul_scalar(a: Tensor, c: float) -> Tensor:
     data = a.data * c
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g * c)
+        a.accumulate_grad(g * c)
 
     return _finish("mul_scalar", data, (a,), bwd)
 
@@ -435,8 +427,7 @@ def exp(a: Tensor) -> Tensor:
         data = np.exp(a.data)
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g * data)
+        a.accumulate_grad(g * data)
 
     return _finish("exp", data, (a,), bwd)
 
@@ -448,8 +439,7 @@ def log(a: Tensor) -> Tensor:
     a_data = a.data
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g / a_data)
+        a.accumulate_grad(g / a_data)
 
     return _finish("log", data, (a,), bwd)
 
@@ -458,8 +448,7 @@ def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0.0)
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g * (a.data > 0.0))
+        a.accumulate_grad(g * (a.data > 0.0))
 
     return _finish("relu", data, (a,), bwd)
 
@@ -471,8 +460,7 @@ def sigmoid(a: Tensor) -> Tensor:
                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g * data * (1.0 - data))
+        a.accumulate_grad(g * data * (1.0 - data))
 
     return _finish("sigmoid", data, (a,), bwd)
 
@@ -484,8 +472,7 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     inside = (a.data >= lo) & (a.data <= hi)
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g * inside)
+        a.accumulate_grad(g * inside)
 
     return _finish("clip", data, (a,), bwd)
 
@@ -505,10 +492,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a_data, b_data = a.data, b.data
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g @ b_data.T if b_data.ndim == 2 else np.outer(g, b_data))
-        if b.requires_grad:
-            b.accumulate_grad(a_data.T @ g)
+        a.accumulate_grad(g @ b_data.T if b_data.ndim == 2 else np.outer(g, b_data))
+        b.accumulate_grad(a_data.T @ g)
 
     return _finish("matmul", data, (a, b), bwd)
 
@@ -520,10 +505,8 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
     a_data, b_data = a.data, b.data
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g * b_data)
-        if b.requires_grad:
-            b.accumulate_grad(g * a_data)
+        a.accumulate_grad(g * b_data)
+        b.accumulate_grad(g * a_data)
 
     return _finish("dot", data, (a, b), bwd)
 
@@ -540,8 +523,7 @@ def sum_sorted(a: Tensor, axis: int) -> Tensor:
     data = np.sort(a.data, axis=axis).sum(axis=axis)
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(np.broadcast_to(np.expand_dims(g, axis % a.data.ndim), a.shape).copy())
+        a.accumulate_grad(np.broadcast_to(np.expand_dims(g, axis % a.data.ndim), a.shape).copy())
 
     return _finish("sum_sorted", data, (a,), bwd)
 
@@ -563,8 +545,7 @@ def mean_over_set(tensors: Sequence[Tensor]) -> Tensor:
     def bwd(g: np.ndarray) -> None:
         share = g / n
         for t in tensors:
-            if t.requires_grad:
-                t.accumulate_grad(share)
+            t.accumulate_grad(share)
 
     return _finish("mean_over_set", data, tuple(tensors), bwd)
 
@@ -585,8 +566,7 @@ def concat(tensors: Sequence[Tensor]) -> Tensor:
 
     def bwd(g: np.ndarray) -> None:
         for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t.accumulate_grad(g[start:stop])
+            t.accumulate_grad(g[start:stop])
 
     return _finish("concat", data, tuple(tensors), bwd)
 
@@ -603,8 +583,7 @@ def stack(tensors: Sequence[Tensor]) -> Tensor:
 
     def bwd(g: np.ndarray) -> None:
         for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t.accumulate_grad(g[i])
+            t.accumulate_grad(g[i])
 
     return _finish("stack", data, tuple(tensors), bwd)
 
@@ -616,8 +595,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     old_shape = a.shape
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g.reshape(old_shape))
+        a.accumulate_grad(g.reshape(old_shape))
 
     return _finish("reshape", data, (a,), bwd)
 
@@ -628,8 +606,7 @@ def transpose(a: Tensor) -> Tensor:
     data = a.data.T
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g.T)
+        a.accumulate_grad(g.T)
 
     return _finish("transpose", data, (a,), bwd)
 

@@ -61,9 +61,10 @@ def split_pairs(lines: Iterable[tuple[str, str]],
         yield where, key, value.strip()
 
 
-def read_pairs(path: Path, error: type[Exception]) -> Iterator[tuple[str, str, str]]:
-    """(``path:line``, key, value) for each pair of a ``key = value`` file."""
-    blob = path.read_bytes()
+def parse_pairs(path: Path, blob: bytes,
+                error: type[Exception]) -> Iterator[tuple[str, str, str]]:
+    """(``path:line``, key, value) for each pair of ``blob``, the bytes of a
+    ``key = value`` file read from ``path``."""
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as e:

@@ -23,7 +23,7 @@ from sdscreen.cli import (
 from sdscreen.dataset import Dataset, Subject, load_dataset, read_frames, save_frames
 from sdscreen.errors import ConfigError, DataError, NumericError
 from sdscreen import trainer
-from sdscreen.model import ModelConfig, init_model, load_checkpoint
+from sdscreen.model import ModelConfig, init_model, load_checkpoint, save_checkpoint
 from sdscreen.numerics import load_container, write_container
 from sdscreen.ras import RasConfig
 from sdscreen.settings import build
@@ -757,6 +757,86 @@ def test_eval_with_a_missing_or_damaged_dataset_record_exits_two(record, data_di
     assert not (bare / "metrics.csv").exists()
 
 
+def main_or_fail(argv):
+    """main(argv); a KeyboardInterrupt that escapes fails the test instead of
+    ending the test session."""
+    try:
+        return main(argv)
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped main")
+
+
+def interrupt_after_first_save(path, params, m, v, t, history):
+    save_checkpoint(path, params, m, v, t, history)
+    raise KeyboardInterrupt  # Ctrl-C right after the first epoch's save
+
+
+def test_interrupted_train_exits_130_saying_resume_continues(config_file, data_dir,
+                                                             tmp_path, monkeypatch, capsys):
+    out = tmp_path / "run"
+    command = ["train", "--data", data_dir, "--out", str(out), "--config", config_file]
+    monkeypatch.setattr(trainer, "save_checkpoint", interrupt_after_first_save)
+    assert main_or_fail(command + ["--set", "epochs=2"]) == 130
+    assert "--resume" in one_error_line(capsys)
+    monkeypatch.undo()
+    assert (out / "fold0.ckpt").is_file() and not (out / "fold1.ckpt").exists()
+    assert main(command + ["--set", "epochs=2", "--resume"]) == 0
+
+
+def test_interrupted_synth_exits_130(tmp_path, monkeypatch, capsys):
+    from sdscreen import cli
+
+    def interrupted(config, out):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "generate", interrupted)
+    assert main_or_fail(["synth", "--out", str(tmp_path / "d")]) == 130
+    assert one_error_line(capsys) == "error: interrupted"
+
+
+def exit_in_fold_zero(dataset, model_cfg, train_cfg, fold, out_dir, resume):
+    if fold == 0:
+        os._exit(70)  # as abrupt as the OOM killer's SIGKILL: no exception, no cleanup
+    return trainer.run_fold(dataset, model_cfg, train_cfg, fold, out_dir, resume)
+
+
+def fail_in_fold_zero(dataset, model_cfg, train_cfg, fold, out_dir, resume):
+    if fold == 0:
+        raise NumericError("fold 0 diverged")
+    return trainer.run_fold(dataset, model_cfg, train_cfg, fold, out_dir, resume)
+
+
+# Eight folds over two workers: the pool hands at most five folds to its
+# workers and their queue at once, so the last fold is still waiting when
+# fold 0 ends.
+EIGHT_FOLDS = ["--jobs", "2", "--set", "folds=8"]
+
+
+def test_dead_fold_process_exits_four_naming_the_fold(config_file, data_dir, tmp_path,
+                                                      monkeypatch, capsys):
+    from sdscreen import cli
+
+    monkeypatch.setattr(cli, "run_fold", exit_in_fold_zero)
+    out = tmp_path / "run"
+    assert main(["train", "--data", data_dir, "--out", str(out), "--config", config_file,
+                 *EIGHT_FOLDS]) == 4
+    line = one_error_line(capsys)
+    assert "fold 0" in line and "--resume" in line
+    assert not (out / "fold7.ckpt").exists()
+
+
+def test_first_fold_error_cancels_the_waiting_folds(config_file, data_dir, tmp_path,
+                                                    monkeypatch, capsys):
+    from sdscreen import cli
+
+    monkeypatch.setattr(cli, "run_fold", fail_in_fold_zero)
+    out = tmp_path / "run"
+    assert main(["train", "--data", data_dir, "--out", str(out), "--config", config_file,
+                 *EIGHT_FOLDS]) == 3
+    assert "fold 0 diverged" in one_error_line(capsys)
+    assert not (out / "fold7.ckpt").exists()
+
+
 def test_numeric_failure_exits_three(monkeypatch, tmp_path):
     from sdscreen import cli
 
@@ -833,6 +913,24 @@ def test_gradcheck_case_names():
     names = [name for name, _ in gradcheck_cases()]
     assert names == ["encoder-reduced", "attention-stack", "fusion-head",
                      "composed-loss"]
+
+
+def test_composed_gradcheck_case_runs_attention_over_three_clips(monkeypatch):
+    # At M = 1 a block returns its input, and at M = 2 difference mode is a
+    # no-op, so only M >= 3 checks the gradient of the omegas' attention.
+    from sdscreen import ras
+
+    clips = []
+
+    def counting_block(states, *args):
+        clips.append(states.shape[0])
+        return real_block(states, *args)
+
+    real_block = ras.ras_block
+    monkeypatch.setattr(ras, "ras_block", counting_block)
+    fn, _ = dict(gradcheck_cases())["composed-loss"]()
+    fn()
+    assert max(clips) >= 3
 
 
 def test_run_gradchecks_flags_wrong_gradient():

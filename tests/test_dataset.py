@@ -1,5 +1,8 @@
 """Dataset model: manifest text format, frame files, validation, sum rule."""
 
+import builtins
+import hashlib
+import io
 import re
 import struct
 from pathlib import Path
@@ -295,3 +298,28 @@ def test_load_dataset_rejects_wrong_frame_geometry(tmp_path):
     save_manifest(d, tmp_path / "manifest.txt")
     with pytest.raises(DataError):
         load_dataset(tmp_path)
+
+
+def test_load_dataset_reads_the_manifest_once(tmp_path, monkeypatch):
+    # The digest must be of the bytes parsed: a second read could see a
+    # manifest rewritten in between.
+    d = make_dataset(1, root=tmp_path)
+    for name in d.subjects[0].frame_files:
+        save_frames(tmp_path / name, np.zeros((5, 8, 8), np.uint8))
+    save_manifest(d, tmp_path / "manifest.txt")
+    blob = (tmp_path / "manifest.txt").read_bytes()
+    opened = []
+
+    def counting(real):
+        def open_(file, *args, **kwargs):
+            if isinstance(file, (str, Path)) and Path(file).name == "manifest.txt":
+                opened.append(file)
+            return real(file, *args, **kwargs)
+        return open_
+
+    monkeypatch.setattr(io, "open", counting(io.open))
+    monkeypatch.setattr(builtins, "open", counting(builtins.open))
+    loaded = load_dataset(tmp_path)
+    monkeypatch.undo()
+    assert len(opened) == 1
+    assert loaded.manifest_sha256 == hashlib.sha256(blob).hexdigest()

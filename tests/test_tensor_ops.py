@@ -242,6 +242,39 @@ def test_mean_over_set_value_and_grads():
     assert np.array_equal(a.grad, [0.5, 0.5])
 
 
+# Each op with two tensor operands: (op, shape of a, shape of b, the local
+# derivatives (da, db) for an output gradient g at operand values a and b).
+TWO_OPERAND_OPS = {
+    "add": (add, (3, 4), (3, 4), lambda g, a, b: (g, g)),
+    "sub": (sub, (3, 4), (3, 4), lambda g, a, b: (g, -g)),
+    "mul": (mul, (3, 4), (3, 4), lambda g, a, b: (g * b, g * a)),
+    "div": (div, (3, 4), (3, 4), lambda g, a, b: (g / b, -g * (a / b) / b)),
+    "matmul": (matmul, (3, 4), (4, 2), lambda g, a, b: (g @ b.T, a.T @ g)),
+    "dot": (dot, (4,), (4,), lambda g, a, b: (g * b, g * a)),
+    "concat": (lambda a, b: concat([a, b]), (3,), (2,), lambda g, a, b: (g[:3], g[3:])),
+    "stack": (lambda a, b: stack([a, b]), (3,), (3,), lambda g, a, b: (g[0], g[1])),
+    "mean_over_set": (lambda a, b: mean_over_set([a, b]), (3,), (3,),
+                      lambda g, a, b: (g / 2, g / 2)),
+}
+
+
+@pytest.mark.parametrize("constant", [0, 1], ids=["constant-a", "constant-b"])
+@pytest.mark.parametrize("name", sorted(TWO_OPERAND_OPS))
+def test_a_constant_operand_gets_no_gradient(name, constant):
+    op, shape_a, shape_b, local = TWO_OPERAND_OPS[name]
+    r = rng(21)
+    values = (r.uniform(0.5, 2.0, size=shape_a), r.uniform(0.5, 2.0, size=shape_b))
+    operands = [Tensor(v, requires_grad=i != constant) for i, v in enumerate(values)]
+    with Tape() as tape:
+        out = op(*operands)
+    seed = np.array(r.normal(size=out.shape))
+    out.grad = seed
+    tape.backward(out)
+    assert operands[constant].grad is None
+    varying = 1 - constant
+    np.testing.assert_array_equal(operands[varying].grad, local(seed, *values)[varying])
+
+
 def test_reshape_and_transpose():
     x = Tensor(np.arange(6.0).reshape(2, 3))
     assert reshape(x, (3, 2)).shape == (3, 2)
