@@ -28,12 +28,9 @@ re-encodes it in backward. Clips of small plans (a 22x22 clip keeps about
 
 ``encode_question_clips`` takes all of a subject's questions at once and
 hands a recomputed plan's clips to ``recomputed`` in one call, which encodes
-them with no tape on a thread pool and records one entry per clip, in clip
-order; in backward one worker rebuilds the next clip's local tape while the
-calling thread replays the current one (see ``numerics.tensor``). Each clip
-is computed by the same ops as on one thread and every gradient is added on
-the calling thread in reverse clip order, so features and gradients are the
-same bits as a plain tape's. The second local tape in flight costs about
+them on a thread pool and, in backward, replays each clip while a worker
+rebuilds the next (see ``numerics.recomputed``). Features and gradients are
+the same bits as a plain tape's. The second local tape in flight costs about
 32 MB, which the blocked conv backward (``numerics.conv``) pays for.
 """
 

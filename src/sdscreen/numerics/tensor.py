@@ -14,11 +14,9 @@ parameters and any input tensor created with ``requires_grad``) keep a
 
 ``recomputed`` trades compute for memory (gradient checkpointing): it maps a
 function over items with no tape, on a pool of threads, and records one entry
-per output, whose closure re-runs the function under a local tape and replays
-that tape with the output's gradient. While one entry replays, a worker
-thread rebuilds the local tape of the next. This module owns those threads:
-the forward's pool lives for one call and the worker for that call's
-replay, and glibc's malloc is held to one arena.
+per output, which re-runs the function under a local tape in backward. This
+module owns those threads and holds glibc's malloc to one arena; when they
+run is described in ``recomputed``.
 
 The stack of active tapes is per thread: an op records on a tape only when
 its own thread entered it, so ops a worker thread runs are untaped unless the
@@ -31,7 +29,7 @@ import ctypes
 import itertools
 import os
 import threading
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from functools import cache
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
@@ -40,7 +38,7 @@ import numpy as np
 from ..errors import ContractError, NumericError, ShapeError
 
 if TYPE_CHECKING:
-    from concurrent.futures import Executor, Future
+    from concurrent.futures import Executor
 
 # mallopt's parameter number for the arena count (glibc's malloc.h).
 M_ARENA_MAX = -8
@@ -259,20 +257,22 @@ def recomputed(fn: Callable[..., Tensor], items: Sequence, *shared) -> list[Tens
     once every thread has stopped, and the items not yet started are
     dropped.
 
-    In backward an entry re-runs ``fn`` under a local tape and replays that
-    with the output's gradient (Chen et al., *Training Deep Nets with
-    Sublinear Memory Cost*, arXiv 1604.06174). While the calling thread
-    replays one entry, one worker rebuilds the local tape of the closest
-    earlier entry whose output has a gradient; an entry with none is never
-    rebuilt. Whatever uses an output was recorded after every entry, so the
-    gradients are all known when the first entry replays, and the entry
-    rebuilt ahead is the next to replay. The worker is started when an
-    entry replays with another to follow, and stopped when the last has
-    replayed or a rebuild or replay raised. ``fn`` must be deterministic:
-    every replay runs on the calling thread, in reverse item order, and
-    visits its ops in the reverse order of a plain tape, so every input
-    receives the same contributions in the same order and the gradients are
-    the same bits as without recomputation.
+    In backward the output of each entry is rebuilt: ``fn`` re-runs under a
+    local tape, which is replayed with the output's gradient (Chen et al.,
+    *Training Deep Nets with Sublinear Memory Cost*, arXiv 1604.06174).
+    Whatever uses an output was recorded after every entry, so all of the
+    call's gradients are known when its first entry replays, the last one
+    with a gradient. That entry replays every entry with a gradient, in
+    reverse item order, in one loop that owns one prefetch worker: the loop
+    rebuilds its first entry on the calling thread, and before it replays
+    an entry it hands the rebuild of the next to the worker. It takes each
+    output's gradient off as it replays it, so the tape skips the call's
+    other entries, and an entry with no gradient is never rebuilt. The
+    worker stops when the loop ends, also when a rebuild or a replay
+    raises. ``fn`` must be deterministic: every replay runs on the calling
+    thread and visits its ops in the reverse order of a plain tape, so
+    every input receives the same contributions in the same order and the
+    gradients are the same bits as without recomputation.
     """
     items = list(items)  # a slot is let go once its entry is rebuilt
     with _threads(min(_usable_cores(), len(items))) as pool:
@@ -280,9 +280,6 @@ def recomputed(fn: Callable[..., Tensor], items: Sequence, *shared) -> list[Tens
     tape = _active_tape()
     if tape is None:
         return outs
-    worker = ExitStack()
-    prefetch: Executor | None = None
-    ahead: Future | None = None
 
     def rebuild(i: int) -> tuple[Tape, Tensor]:
         item, items[i] = items[i], None
@@ -290,24 +287,16 @@ def recomputed(fn: Callable[..., Tensor], items: Sequence, *shared) -> list[Tens
             out = fn(item, *shared)
         return local, out
 
-    def replay(i: int, g: np.ndarray) -> None:
-        nonlocal prefetch, ahead
-        try:
-            local, out = ahead.result() if ahead is not None else rebuild(i)
-            ahead = None
-            following = next((j for j in range(i - 1, -1, -1) if outs[j].grad is not None),
-                             None)
-            if following is not None:
-                if prefetch is None:
-                    prefetch = worker.enter_context(_threads(1))
-                ahead = prefetch.submit(rebuild, following)
-            out.grad = g
-            local.backward(out)
-        except BaseException:
-            worker.close()
-            raise
-        if following is None:
-            worker.close()
+    def replay(last: int, g: np.ndarray) -> None:
+        outs[last].grad = g  # the tape took it off; the loop takes each one alike
+        order = [i for i in range(last, -1, -1) if outs[i].grad is not None]
+        with _threads(1) as prefetch:
+            for n, i in enumerate(order):
+                local, out = ahead.result() if n else rebuild(i)
+                if n + 1 < len(order):
+                    ahead = prefetch.submit(rebuild, order[n + 1])
+                out.grad, outs[i].grad = outs[i].grad, None
+                local.backward(out)
 
     for i, out in enumerate(outs):
         if out.requires_grad:

@@ -70,7 +70,9 @@ def parse_pairs(path: Path, blob: bytes,
     except UnicodeDecodeError as e:
         line = blob.count(b"\n", 0, e.start) + 1
         raise error(f"{path}:{line}: not UTF-8 text at byte {e.start}") from None
-    lines = ((f"{path}:{n}", raw.strip()) for n, raw in enumerate(text.splitlines(), 1))
+    # Lines end at "\n" only: str.splitlines also breaks at \x0c, \x85, \u2028
+    # and more, which a value may hold.
+    lines = ((f"{path}:{n}", raw.strip()) for n, raw in enumerate(text.split("\n"), 1))
     return split_pairs(((w, ln) for w, ln in lines if ln and not ln.startswith("#")), error)
 
 

@@ -225,9 +225,6 @@ def train(dataset: Dataset, params: ModelParams, train_subjects: list[Subject],
         state.lr = cfg.lr
 
     history = list(history or [])
-    if len(history) >= cfg.epochs:
-        return state, history, None
-
     needs_video = params.config.needs_video
     val_labels = np.array([s.label for s in val_subjects])
 

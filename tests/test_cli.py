@@ -405,6 +405,14 @@ def test_key_value_grammar_is_one_for_every_file(reader, line, says, data_dir,
     assert not out.exists()
 
 
+def test_key_value_lines_are_counted_at_newlines_only(tmp_path, capsys):
+    # A form feed on a line of its own is whitespace, not a line break.
+    path = tmp_path / "ff.cfg"
+    path.write_bytes(b"epochs = 3\n\x0c\nbogus\n")
+    assert main(["synth", "--out", str(tmp_path / "out"), "--config", str(path)]) == 1
+    assert f"{path}:3: expected 'key = value', got 'bogus'" in one_error_line(capsys)
+
+
 @pytest.mark.parametrize("source", ["config", "set", "run-config"])
 def test_bad_config_value_names_its_source(source, data_dir, run_dir, tmp_path, capsys):
     out = tmp_path / "out"

@@ -9,6 +9,7 @@ more usable cores than the box has make the pool hold several workers.
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -198,6 +199,49 @@ def test_an_error_in_a_prefetched_rebuild_exits_three(data, monkeypatch, tmp_pat
     argv = ["train", "--data", str(data.root), "--out", str(tmp_path / "run"), "--fold", "0"]
     assert main(argv + [a for flag in flags for a in ("--set", flag)]) == 3
     assert capsys.readouterr().err == "error: conv3d produced non-finite values\n"
+    assert threading.active_count() == baseline
+
+
+def test_an_error_in_a_replay_during_a_prefetched_rebuild_reaches_the_caller(data,
+                                                                            monkeypatch):
+    """The first clip's local replay raises on the calling thread while the
+    worker is inside the rebuild of the next clip: the error reaches the
+    caller, and the worker finishes that rebuild and stops."""
+    encode = encoder3d._encode_frames
+    caller = threading.get_ident()
+    rebuilding, raised, finished = threading.Event(), threading.Event(), threading.Event()
+
+    def fail_in_replay(g):
+        assert rebuilding.wait(timeout=10)
+        raised.set()
+        raise NumericError("replay produced non-finite values")
+
+    def spy(clip, enc):
+        out = encode(clip, enc)
+        if tensor._active_tape() is None:  # the untaped forward
+            return out
+        if threading.get_ident() != caller:  # the prefetched rebuild
+            rebuilding.set()
+            assert raised.wait(timeout=10)
+            time.sleep(0.2)  # still rebuilding as the error leaves the replay
+            finished.set()
+            return out
+        failing = Tensor(out.data, requires_grad=True)
+        tensor._active_tape().record(failing, fail_in_replay)
+        return failing
+
+    baseline = threading.active_count()
+    monkeypatch.setattr(encoder3d, "RECOMPUTE_BYTES", 0)
+    monkeypatch.setattr(tensor, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(encoder3d, "_encode_frames", spy)
+    subject = data.subjects[0]
+    with Tape() as tape:
+        loss = bce_loss(model.subject_forward(model.init_model(CFG), subject,
+                                              model.load_subject_video(data, subject)).p,
+                        subject.label)
+    with pytest.raises(NumericError, match="replay produced non-finite"):
+        tape.backward(loss)
+    assert finished.is_set()
     assert threading.active_count() == baseline
 
 

@@ -160,6 +160,21 @@ def test_manifest_roundtrip_byte_identical(tmp_path):
                for a, b in zip(back.subjects, d.subjects))
 
 
+@pytest.mark.parametrize("subject_id", ["s\x85x", "s\x0cx", "s\x1ex", "s\u2028x"],
+                         ids=["nel", "form-feed", "record-separator", "line-separator"])
+def test_manifest_roundtrips_an_id_holding_a_line_break_other_than_newline(subject_id,
+                                                                          tmp_path):
+    # A manifest's lines end at "\n" only: str.splitlines would also break
+    # these ids, and the manifest save_manifest wrote would not load.
+    subject = make_subject()
+    d = Dataset(fps=5, height=8, width=8, root=Path("unused"), subjects=[Subject(
+        subject_id=subject_id, label=0, choices=subject.choices, times=subject.times,
+        frame_files=subject.frame_files)])
+    path = tmp_path / "manifest.txt"
+    save_manifest(d, path)
+    assert [s.subject_id for s in load_manifest(path).subjects] == [subject_id]
+
+
 def test_manifest_comments_and_blanks_ignored(tmp_path):
     d = make_dataset(1)
     path = tmp_path / "manifest.txt"
