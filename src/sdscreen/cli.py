@@ -47,10 +47,10 @@ from .trainer import (
     HistoryRow,
     TrainConfig,
     evaluate_metrics,
+    evaluate_probs,
     fold_subject_sets,
     kfold_split,
     run_fold,
-    screen_fold,
 )
 
 __all__ = ["main", "resolve_config", "DEFAULTS", "gradcheck_cases", "run_gradchecks"]
@@ -164,15 +164,38 @@ def _write_curves(out_dir: Path, histories: dict[int, list[HistoryRow]]) -> None
         path.unlink(missing_ok=True)
 
 
-def _print_aggregate(per_fold: dict[int, dict[str, float]]) -> None:
-    for fold in sorted(per_fold):
-        row = per_fold[fold]
-        cells = ", ".join(f"{k} {row[k]:.4f}" for k in METRIC_KEYS)
-        print(f"fold {fold}: {cells}")
-    if len(per_fold) > 1:
+def _fold_summary(per_fold: dict[int, dict[str, float]]) -> dict[str, dict[str, float]]:
+    """The rows of ``metrics.csv`` by their first cell: each fold's metrics in
+    fold order, then, over several folds, each metric's mean and sd."""
+    rows = {str(fold): per_fold[fold] for fold in sorted(per_fold)}
+    if len(rows) > 1:
+        stacked = {k: np.array([m[k] for m in rows.values()]) for k in METRIC_KEYS}
+        rows["mean"] = {k: float(values.mean()) for k, values in stacked.items()}
+        rows["sd"] = {k: float(values.std()) for k, values in stacked.items()}
+    return rows
+
+
+def _print_aggregate(summary: dict[str, dict[str, float]]) -> None:
+    for label, m in summary.items():
+        if label not in ("mean", "sd"):
+            print(f"fold {label}: " + ", ".join(f"{k} {m[k]:.4f}" for k in METRIC_KEYS))
+    if "mean" in summary:
         for k in METRIC_KEYS:
-            values = np.array([per_fold[f][k] for f in sorted(per_fold)])
-            print(f"{k}: {values.mean():.4f} +/- {values.std():.4f}")
+            print(f"{k}: {summary['mean'][k]:.4f} +/- {summary['sd'][k]:.4f}")
+
+
+def _check_frames(data: str, dataset: Dataset, model_cfg: ModelConfig) -> None:
+    """Refuse frames the model cannot encode: another size than ``input_hw``,
+    or a question video shorter than one clip."""
+    if not model_cfg.needs_video:
+        return
+    hw = (dataset.height, dataset.width)
+    if hw != (model_cfg.input_hw,) * 2:
+        raise ConfigError(f"{data} holds {hw[0]}x{hw[1]} frames, "
+                          f"input_hw is {model_cfg.input_hw}")
+    if dataset.min_frames < model_cfg.clip_len:
+        raise ConfigError(f"{data} has a question video of {dataset.min_frames} frames, "
+                          f"shorter than clip_len {model_cfg.clip_len}")
 
 
 def _read_run_config(run_dir: Path) -> dict[str, object]:
@@ -232,13 +255,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     # Everything the run needs is checked before config.txt claims the directory.
     dataset = load_dataset(args.data)
-    hw = (dataset.height, dataset.width)
-    if model_cfg.needs_video and hw != (model_cfg.input_hw,) * 2:
-        raise ConfigError(f"{args.data} holds {hw[0]}x{hw[1]} frames, "
-                          f"input_hw is {model_cfg.input_hw}")
-    if model_cfg.needs_video and dataset.min_frames < model_cfg.clip_len:
-        raise ConfigError(f"{args.data} has a question video of {dataset.min_frames} frames, "
-                          f"shorter than clip_len {model_cfg.clip_len}")
+    _check_frames(args.data, dataset, model_cfg)
     kfold_split([s.subject_id for s in dataset.subjects], train_cfg.folds, train_cfg.seed)
     out_dir = Path(args.out)
     _write_run_config(out_dir, cfg, dataset, args.resume)
@@ -266,7 +283,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     else:
         results = [run_fold(*a) for a in fold_args]
     _write_curves(out_dir, {fold: rows for fold, (rows, _) in zip(folds, results)})
-    _print_aggregate({fold: metrics for fold, (_, metrics) in zip(folds, results)})
+    _print_aggregate(_fold_summary({fold: metrics for fold, (_, metrics) in zip(folds, results)}))
     return 0
 
 
@@ -289,6 +306,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     model_cfg = build(ModelConfig, cfg)
     train_cfg = build(TrainConfig, cfg)
     folds = _folds_arg(args.fold, train_cfg.folds)
+    _check_frames(args.data, dataset, model_cfg)
     out_dir = Path(args.out) if args.out else run_dir
 
     per_fold: dict[int, dict[str, float]] = {}
@@ -299,19 +317,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
         load_checkpoint(run_dir / f"fold{fold}.ckpt", params)
         _, val_subjects = fold_subject_sets(dataset, train_cfg.folds,
                                             train_cfg.seed, fold)
-        probs, per_fold[fold] = screen_fold(dataset, params, val_subjects,
-                                            train_cfg.threshold)
+        probs = evaluate_probs(dataset, params, val_subjects)
+        labels = np.array([s.label for s in val_subjects])
+        per_fold[fold] = evaluate_metrics(probs, labels, train_cfg.threshold)
         pooled_probs.extend(probs.tolist())
-        pooled_labels.extend(s.label for s in val_subjects)
+        pooled_labels.extend(labels.tolist())
 
     out_dir.mkdir(parents=True, exist_ok=True)
+    summary = _fold_summary(per_fold)
     lines = ["fold," + ",".join(METRIC_KEYS)]
-    for fold in sorted(per_fold):
-        lines.append(f"{fold}," + ",".join(repr(float(per_fold[fold][k])) for k in METRIC_KEYS))
-    if len(per_fold) > 1:
-        stacked = {k: np.array([per_fold[f][k] for f in sorted(per_fold)]) for k in METRIC_KEYS}
-        lines.append("mean," + ",".join(repr(float(stacked[k].mean())) for k in METRIC_KEYS))
-        lines.append("sd," + ",".join(repr(float(stacked[k].std())) for k in METRIC_KEYS))
+    lines += [f"{label}," + ",".join(repr(float(m[k])) for k in METRIC_KEYS)
+              for label, m in summary.items()]
     (out_dir / "metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     try:
@@ -328,7 +344,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     except ContractError:  # single-class pool: no curve, and an earlier one would mislead
         for name in ("roc.csv", "roc.svg"):
             (out_dir / name).unlink(missing_ok=True)
-    _print_aggregate(per_fold)
+    _print_aggregate(summary)
     return 0
 
 

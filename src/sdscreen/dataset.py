@@ -55,8 +55,11 @@ class Subject:
     frame_files: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not self.subject_id or any(c in self.subject_id for c in " ,=\n"):
-            raise DataError(f"invalid subject id {self.subject_id!r}")
+        # The manifest strips each value, so an id or name with whitespace at an end
+        # would load back as another.
+        sid = self.subject_id
+        if not sid or sid != sid.strip() or any(c in sid for c in " ,=\n"):
+            raise DataError(f"invalid subject id {sid!r}")
         if self.label not in (0, 1):
             raise DataError(f"subject {self.subject_id}: label must be 0 or 1, got {self.label}")
         for field_name, values in (("choices", self.choices), ("times", self.times),
@@ -72,7 +75,7 @@ class Subject:
             if not (np.isfinite(t) and t > 0):
                 raise DataError(f"subject {self.subject_id}: response time {t} must be positive")
         for name in self.frame_files:
-            bad = not name or any(ch in name for ch in ",=\n")
+            bad = not name or name != name.strip() or any(ch in name for ch in ",=\n")
             # Names must stay inside the dataset directory.
             if bad or Path(name).name != name:
                 raise DataError(f"subject {self.subject_id}: invalid frames file name {name!r}")
@@ -167,9 +170,9 @@ def read_frames(path: Path | str) -> np.ndarray:
 
 
 def load_question_frames(dataset: Dataset, subject: Subject, question_index: int) -> np.ndarray:
-    """Read the recorded frames for one question of one subject; frames of
-    another size than the dataset's (a file rewritten after loading) are
-    refused, naming the file."""
+    """Read the recorded frames for one question of one subject. A file
+    rewritten after loading is refused, naming the file, when its frames are
+    of another size than the dataset's or fewer than ``dataset.min_frames``."""
     if not 0 <= question_index < QUESTION_COUNT:
         raise DataError(f"question index {question_index} outside 0..{QUESTION_COUNT - 1}")
     path = dataset.root / subject.frame_files[question_index]
@@ -177,6 +180,9 @@ def load_question_frames(dataset: Dataset, subject: Subject, question_index: int
     if frames.shape[1:] != (dataset.height, dataset.width):
         raise DataError(f"{path}: holds {frames.shape[1]}x{frames.shape[2]} frames, "
                         f"manifest declares {dataset.height}x{dataset.width}")
+    if dataset.min_frames is not None and frames.shape[0] < dataset.min_frames:
+        raise DataError(f"{path}: holds {frames.shape[0]} frames, fewer than the "
+                        f"{dataset.min_frames} the shortest video held when loaded")
     return frames
 
 

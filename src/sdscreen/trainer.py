@@ -6,6 +6,10 @@ or (master seed, purpose) seed sequences, parameters update in the fixed
 so identical runs produce byte-identical artifacts.
 A fold reads a subject's frames for each forward and drops them after it, so
 a training step holds one batch's frames however many subjects the fold has.
+Every accuracy, sensitivity and specificity, the history's per-epoch ones
+included, comes from ``metrics.confusion``, the one place that applies the
+screening threshold; ``evaluate_probs`` and ``evaluate_metrics`` screen and
+score a fold.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ __all__ = [
     "load_videos",
     "evaluate_probs",
     "evaluate_metrics",
-    "screen_fold",
     "history_to_csv",
     "run_fold",
 ]
@@ -192,17 +195,6 @@ def evaluate_metrics(probs: np.ndarray, labels: np.ndarray,
     return report
 
 
-def screen_fold(dataset: Dataset, params: ModelParams, subjects: list[Subject],
-                threshold: float, probs: np.ndarray | None = None
-                ) -> tuple[np.ndarray, dict[str, float]]:
-    """(probabilities, metrics) of a fold's subjects, screened with ``params``
-    unless ``probs`` already holds their probabilities."""
-    if probs is None:
-        probs = evaluate_probs(dataset, params, subjects)
-    labels = np.array([s.label for s in subjects])
-    return probs, evaluate_metrics(probs, labels, threshold)
-
-
 def train(dataset: Dataset, params: ModelParams, train_subjects: list[Subject],
           val_subjects: list[Subject], cfg: TrainConfig,
           state: AdamState | None = None, history: list[HistoryRow] | None = None,
@@ -226,6 +218,7 @@ def train(dataset: Dataset, params: ModelParams, train_subjects: list[Subject],
 
     history = list(history or [])
     needs_video = params.config.needs_video
+    train_labels = np.array([s.label for s in train_subjects])
     val_labels = np.array([s.label for s in val_subjects])
 
     val_probs = None
@@ -248,13 +241,11 @@ def train(dataset: Dataset, params: ModelParams, train_subjects: list[Subject],
             adam_step(named, state)
             batch_losses.append(batch_loss.item())
 
-        train_pred = np.array(
-            [epoch_probs[s.subject_id] > cfg.threshold for s in train_subjects])
-        train_labels = np.array([s.label for s in train_subjects])
-        train_acc = float((train_pred == train_labels).mean())
+        train_acc = accuracy(confusion([epoch_probs[s.subject_id] for s in train_subjects],
+                                       train_labels, cfg.threshold))
         if val_subjects:
             val_probs = evaluate_probs(dataset, params, val_subjects)
-            val_acc = float(((val_probs > cfg.threshold) == val_labels).mean())
+            val_acc = accuracy(confusion(val_probs, val_labels, cfg.threshold))
         else:
             val_acc = float("nan")
         history.append(HistoryRow(epoch=epoch, loss=float(np.mean(batch_losses)),
@@ -290,8 +281,8 @@ def run_fold(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
     params = init_model(model_cfg)
     state, history = None, []
     # A fold with no checkpoint yet (a run killed in its first epoch) starts at epoch 1.
-    resume = resume and ckpt_path.exists()
-    if resume:
+    restored = resume and ckpt_path.exists()
+    if restored:
         m, v, t, history = load_checkpoint(ckpt_path, params)
         state = AdamState(lr=train_cfg.lr, m=m, v=v, t=t)
 
@@ -300,9 +291,9 @@ def run_fold(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
     state, history, probs = train(dataset, params, train_subjects, val_subjects, train_cfg,
                                   state=state, history=history, checkpoint_path=ckpt_path)
     history_path.write_text(history_to_csv(history), encoding="utf-8")
-    if not resume and train_cfg.epochs == 0:  # no epoch ran, so none saved these weights
-        save_checkpoint(ckpt_path, params, state.m, state.v, state.t, history)
-
-    # probs is None when no epoch ran: nothing has screened these weights yet.
-    _, metrics = screen_fold(dataset, params, val_subjects, train_cfg.threshold, probs)
-    return history, metrics
+    if probs is None:  # no epoch ran, so nothing has screened these weights
+        if not restored:  # nor saved them
+            save_checkpoint(ckpt_path, params, state.m, state.v, state.t, history)
+        probs = evaluate_probs(dataset, params, val_subjects)
+    labels = np.array([s.label for s in val_subjects])
+    return history, evaluate_metrics(probs, labels, train_cfg.threshold)

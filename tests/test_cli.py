@@ -476,8 +476,12 @@ def test_frames_damaged_after_an_epoch_stop_train_naming_the_file(config_file, d
     def shrink(path):  # a well-formed file of another frame size
         save_frames(path, np.ascontiguousarray(read_frames(path)[:, :10, :10]))
 
+    def cut(path):  # a well-formed file too short for one clip
+        save_frames(path, np.ascontiguousarray(read_frames(path)[:2]))
+
     for damage, message in ((truncate, "frames payload ends at offset"),
-                            (shrink, "holds 10x10 frames, manifest declares 12x12")):
+                            (shrink, "holds 10x10 frames, manifest declares 12x12"),
+                            (cut, "holds 2 frames, fewer than the 4")):
         data = tmp_path / damage.__name__ / "data"
         shutil.copytree(data_dir, data)
         train_subjects, _ = fold_subject_sets(load_dataset(data), 2, 0, 0)
@@ -498,6 +502,25 @@ def test_frames_damaged_after_an_epoch_stop_train_naming_the_file(config_file, d
         params = init_model(build(ModelConfig, resolve_config(config_file)))
         _, _, _, history = load_checkpoint(out / "fold0.ckpt", params)
         assert [r.epoch for r in history] == [1]
+
+
+def test_eval_refuses_a_video_shorter_than_one_clip_as_train_does(config_file, data_dir,
+                                                                 run_dir, tmp_path, capsys):
+    # A frames file rewritten after training keeps the manifest, and with it
+    # the digest eval compares, so only the frame check can stop it.
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    short = data / load_dataset(data).subjects[0].frame_files[0]
+    save_frames(short, np.ascontiguousarray(read_frames(short)[:2]))
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "retrain"),
+                 "--config", config_file]) == 1
+    refused = one_error_line(capsys)
+    assert "a question video of 2 frames, shorter than clip_len 4" in refused
+    assert main(["eval", "--data", str(data), "--run", str(run_dir),
+                 "--out", str(tmp_path / "report")]) == 1
+    assert one_error_line(capsys) == refused
+    assert not (tmp_path / "report").exists()
 
 
 def test_synth_refuses_a_clip_len_no_model_accepts(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Dataset model: manifest text format, frame files, validation, sum rule."""
 
 import builtins
+import dataclasses
 import hashlib
 import io
 import re
@@ -86,6 +87,22 @@ def test_subject_validation():
     with pytest.raises(DataError):
         Subject(subject_id="s0", label=0, choices=s.choices, times=s.times,
                 frame_files=["../evil.rasf"] + s.frame_files[1:])
+
+
+NAMES = tuple(make_subject().frame_files)
+
+
+@pytest.mark.parametrize("edit", [
+    {"subject_id": "a\t"}, {"subject_id": "\x0bb"}, {"subject_id": "c\xa0"},
+    {"subject_id": "d\r"}, {"frame_files": (" lead.rasf",) + NAMES[1:]},
+    {"frame_files": NAMES[:-1] + ("trail.rasf ",)},
+], ids=["id-tab", "id-vertical-tab", "id-no-break-space", "id-carriage-return",
+        "first-frames-name", "last-frames-name"])
+def test_subject_refuses_whitespace_the_manifest_would_strip(edit):
+    # The manifest strips each value's ends: save_manifest would write these,
+    # and load_manifest would read them back as another id or another file.
+    with pytest.raises(DataError, match="invalid"):
+        dataclasses.replace(make_subject(), **edit)
 
 
 def test_dataset_validation_catches_duplicate_ids():

@@ -9,6 +9,7 @@ import pytest
 
 from sdscreen import trainer
 from sdscreen.errors import ConfigError, NumericError
+from sdscreen.metrics import accuracy, confusion
 from sdscreen.model import (
     ModelConfig,
     SubjectVideo,
@@ -391,6 +392,25 @@ def test_checkpoint_roundtrip_preserves_predictions(tiny_dataset, tmp_path):
     subjects = tiny_dataset.subjects[:3]
     assert np.array_equal(evaluate_probs(tiny_dataset, params, subjects),
                           evaluate_probs(tiny_dataset, fresh, subjects))
+
+
+def test_history_counts_a_probability_at_the_threshold_as_negative(tiny_dataset):
+    train_subjects, val_subjects = fold_subject_sets(tiny_dataset, 2, 0, 0)
+    labels = np.array([s.label for s in val_subjects])
+
+    def last_epoch(threshold):
+        cfg = TrainConfig(epochs=2, batch_size=2, lr=1e-2, folds=2, threshold=threshold)
+        _, rows, probs = train(tiny_dataset, init_model(TINY_MODEL), train_subjects,
+                               val_subjects, cfg)
+        return rows[-1], probs
+
+    _, probs = last_epoch(0.5)
+    at = float(probs[0])
+    row, again = last_epoch(at)
+    assert np.array_equal(again, probs)  # the threshold does not steer training
+    assert row.val_acc == ((probs > at) == labels).mean()
+    assert row.val_acc != ((probs >= at) == labels).mean()
+    assert row.val_acc == accuracy(confusion(probs, labels, at))
 
 
 def test_evaluate_metrics_degenerate_slices_are_nan(tiny_dataset):
