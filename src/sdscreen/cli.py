@@ -49,7 +49,6 @@ from .trainer import (
     evaluate_metrics,
     evaluate_probs,
     fold_subject_sets,
-    kfold_split,
     run_fold,
 )
 
@@ -198,6 +197,21 @@ def _check_frames(data: str, dataset: Dataset, model_cfg: ModelConfig) -> None:
                           f"shorter than clip_len {model_cfg.clip_len}")
 
 
+def _warn_one_class_folds(dataset: Dataset, train_cfg: TrainConfig, folds: list[int]) -> None:
+    """Print a ``warning:`` line for each of ``folds`` whose validation
+    subjects all hold one label: the split does not stratify, and such a
+    fold's sensitivity or specificity and its AUC are NaN, and so is each of
+    those metrics' mean and sd over the folds."""
+    for fold in folds:
+        _, val_subjects = fold_subject_sets(dataset, train_cfg.folds, train_cfg.seed, fold)
+        labels = {s.label for s in val_subjects}
+        if len(labels) == 1:
+            [label] = labels
+            undefined = "specificity" if label else "sensitivity"
+            print(f"warning: fold {fold} validates on subjects of label {label} only, "
+                  f"so its {undefined} and auc will be nan", file=sys.stderr)
+
+
 def _read_run_config(run_dir: Path) -> dict[str, object]:
     path = run_dir / RUN_CONFIG
     if not path.is_file():
@@ -256,7 +270,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     # Everything the run needs is checked before config.txt claims the directory.
     dataset = load_dataset(args.data)
     _check_frames(args.data, dataset, model_cfg)
-    kfold_split([s.subject_id for s in dataset.subjects], train_cfg.folds, train_cfg.seed)
+    _warn_one_class_folds(dataset, train_cfg, folds)  # refuses more folds than subjects
     out_dir = Path(args.out)
     _write_run_config(out_dir, cfg, dataset, args.resume)
 
@@ -307,6 +321,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     train_cfg = build(TrainConfig, cfg)
     folds = _folds_arg(args.fold, train_cfg.folds)
     _check_frames(args.data, dataset, model_cfg)
+    _warn_one_class_folds(dataset, train_cfg, folds)
     out_dir = Path(args.out) if args.out else run_dir
 
     per_fold: dict[int, dict[str, float]] = {}

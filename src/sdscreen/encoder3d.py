@@ -28,9 +28,13 @@ re-encodes it in backward. Clips of small plans (a 22x22 clip keeps about
 
 ``encode_question_clips`` takes all of a subject's questions at once and
 hands a recomputed plan's clips to ``recomputed`` in one call, which encodes
-them on a thread pool and, in backward, replays each clip while a worker
-rebuilds the next (see ``numerics.recomputed``). Features and gradients are
-the same bits as a plain tape's. The second local tape in flight costs about
+them on a thread pool. In backward two lanes, the calling thread and one
+worker, each take every other clip, last first, re-encode it under a local
+tape and replay that tape; each replay step of a clip waits until the clip
+before it has finished that step (see ``numerics.recomputed``). Every
+parameter is an input of exactly one op of ``encode_clip``, the contract
+that rule needs, so features and gradients are the same bits as a plain
+tape's on any number of cores. The second local tape alive costs about
 32 MB, which the blocked conv backward (``numerics.conv``) pays for.
 """
 

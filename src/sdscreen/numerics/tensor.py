@@ -14,9 +14,11 @@ parameters and any input tensor created with ``requires_grad``) keep a
 
 ``recomputed`` trades compute for memory (gradient checkpointing): it maps a
 function over items with no tape, on a pool of threads, and records one entry
-per output, which re-runs the function under a local tape in backward. This
-module owns those threads and holds glibc's malloc to one arena; when they
-run is described in ``recomputed``.
+per output, which re-runs the function under a local tape in backward. There
+two lanes, the calling thread and one worker, rebuild and replay every other
+entry each, in lockstep through ``Tape.gate``. This module owns those threads
+and holds glibc's malloc to one arena; when they run, and the rule that keeps
+the gradients' bits, are described in ``recomputed``.
 
 The stack of active tapes is per thread: an op records on a tape only when
 its own thread entered it, so ops a worker thread runs are untaped unless the
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import ctypes
 import itertools
+import math
 import os
 import threading
 from contextlib import contextmanager
@@ -145,7 +148,13 @@ class Tape:
     recorded use. The replay pops every entry and clears each intermediate's
     ``grad`` as it goes, so the tape is empty afterwards and keeps nothing
     alive; leaves keep their accumulated ``grad``.
+
+    ``gate``, when set, is called with an entry's position (the number of
+    entries recorded before it) just before that entry's closure runs;
+    ``recomputed`` uses it to keep two replays in lockstep.
     """
+
+    gate: Callable[[int], object] | None = None
 
     def __init__(self):
         self._entries: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
@@ -180,11 +189,13 @@ class Tape:
         self._consumed = True
         if loss.grad is None:
             loss.grad = np.ones((), dtype=np.float64)
-        entries = self._entries
+        entries, gate = self._entries, self.gate
         while entries:
             out, backward_fn = entries.pop()
             grad, out.grad = out.grad, None
             if grad is not None:  # None: not an ancestor of the loss
+                if gate is not None:
+                    gate(len(entries))
                 backward_fn(grad)
             del out, backward_fn, grad
 
@@ -263,16 +274,29 @@ def recomputed(fn: Callable[..., Tensor], items: Sequence, *shared) -> list[Tens
     Whatever uses an output was recorded after every entry, so all of the
     call's gradients are known when its first entry replays, the last one
     with a gradient. That entry replays every entry with a gradient, in
-    reverse item order, in one loop that owns one prefetch worker: the loop
-    rebuilds its first entry on the calling thread, and before it replays
-    an entry it hands the rebuild of the next to the worker. It takes each
-    output's gradient off as it replays it, so the tape skips the call's
-    other entries, and an entry with no gradient is never rebuilt. The
-    worker stops when the loop ends, also when a rebuild or a replay
-    raises. ``fn`` must be deterministic: every replay runs on the calling
-    thread and visits its ops in the reverse order of a plain tape, so
-    every input receives the same contributions in the same order and the
-    gradients are the same bits as without recomputation.
+    reverse item order, in two lanes: the calling thread and one worker,
+    whatever the core count. Each lane takes every other entry of that
+    order, rebuilds it and replays its local tape, so at most two local
+    tapes are alive. A lane takes each output's gradient off as it replays
+    it, so the tape skips the call's other entries, and an entry with no
+    gradient is never rebuilt.
+
+    One rule keeps the lanes in lockstep: step r of the k-th entry of the
+    order starts only after step r of the (k-1)-th has finished. Step 0 is
+    the rebuild, and step r >= 1 is the r-th position from the top of the
+    local tape (a position, not a call, so an op with no gradient never
+    blocks). The rule gives the same gradient bits as a plain tape, on any
+    number of cores, under this contract: ``fn`` is deterministic, records
+    the same ops for every item, and every tensor more than one item
+    reaches (each tensor of ``shared``) is an input of exactly one of those
+    ops. Such a tensor then takes all of one item's contributions at one
+    position, so it receives them item by item in reverse, and within an
+    item in the order its op's backward gives: the order of a plain tape.
+    The two lanes never add into one tensor at once.
+
+    A lane whose rebuild or replay step raises marks its entry finished, so
+    the other lane never waits on it, and keeps the other lane from taking
+    another entry; the error is raised here once the worker has stopped.
     """
     items = list(items)  # a slot is let go once its entry is rebuilt
     with _threads(min(_usable_cores(), len(items))) as pool:
@@ -288,15 +312,45 @@ def recomputed(fn: Callable[..., Tensor], items: Sequence, *shared) -> list[Tens
         return local, out
 
     def replay(last: int, g: np.ndarray) -> None:
-        outs[last].grad = g  # the tape took it off; the loop takes each one alike
+        outs[last].grad = g  # the tape took it off; the lanes take each one alike
         order = [i for i in range(last, -1, -1) if outs[i].grad is not None]
-        with _threads(1) as prefetch:
-            for n, i in enumerate(order):
-                local, out = ahead.result() if n else rebuild(i)
-                if n + 1 < len(order):
-                    ahead = prefetch.submit(rebuild, order[n + 1])
-                out.grad, outs[i].grad = outs[i].grad, None
-                local.backward(out)
+        done = [0] * len(order)  # steps finished by each entry of the order
+        turn = threading.Condition()
+        stopped = False  # a lane raised
+
+        def step(k: int, r: int) -> bool:
+            """Note that entry k finished its steps before r, then wait until
+            entry k - 1 has finished step r; False once a lane has raised."""
+            with turn:
+                done[k] = r
+                turn.notify_all()
+                turn.wait_for(lambda: stopped or k == 0 or done[k - 1] > r)
+                return not stopped
+
+        def lane(first: int) -> None:
+            nonlocal stopped
+            for k in range(first, len(order), 2):
+                try:
+                    if not step(k, 0):
+                        return
+                    i = order[k]
+                    local, out = rebuild(i)
+                    top = len(local)
+                    local.gate = lambda position: step(k, top - position)
+                    out.grad, outs[i].grad = outs[i].grad, None
+                    local.backward(out)
+                except BaseException:
+                    stopped = True
+                    raise
+                finally:
+                    with turn:
+                        done[k] = math.inf  # replayed or failed: never waited on again
+                        turn.notify_all()
+
+        with _threads(1) as worker:
+            other = worker.submit(lane, 1)
+            lane(0)
+            other.result()
 
     for i, out in enumerate(outs):
         if out.requires_grad:

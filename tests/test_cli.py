@@ -523,6 +523,38 @@ def test_eval_refuses_a_video_shorter_than_one_clip_as_train_does(config_file, d
     assert not (tmp_path / "report").exists()
 
 
+def test_a_validation_fold_of_one_label_is_named_before_it_trains(config_file, data_dir,
+                                                                   tmp_path, capsys):
+    """The split does not stratify: with 4 folds of the tiny set, seed 0 gives
+    folds that validate on one label, whose sensitivity or specificity and AUC
+    come out NaN. train and eval --run each name them in one warning line a
+    fold; seed 2 gives none."""
+    dataset = load_dataset(data_dir)
+    warned = []
+    for fold in range(4):
+        labels = {s.label for s in fold_subject_sets(dataset, 4, 0, fold)[1]}
+        if labels == {0}:
+            warned.append(f"warning: fold {fold} validates on subjects of label 0 only, "
+                          "so its sensitivity and auc will be nan")
+        elif labels == {1}:
+            warned.append(f"warning: fold {fold} validates on subjects of label 1 only, "
+                          "so its specificity and auc will be nan")
+    assert warned
+    capsys.readouterr()
+    out = tmp_path / "one_label"
+    assert main(["train", "--data", data_dir, "--out", str(out), "--config", config_file,
+                 "--set", "folds=4", "--set", "seed=0"]) == 0
+    trained = capsys.readouterr()
+    assert trained.err.splitlines() == warned
+    assert "nan +/- nan" in trained.out
+    assert main(["eval", "--data", data_dir, "--run", str(out)]) == 0
+    assert capsys.readouterr() == trained
+
+    assert main(["train", "--data", data_dir, "--out", str(tmp_path / "balanced"),
+                 "--config", config_file, "--set", "folds=4", "--set", "seed=2"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_synth_refuses_a_clip_len_no_model_accepts(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["synth", "--out", str(out), "--set", "clip_len=5"]) == 1
@@ -843,6 +875,16 @@ def fail_in_fold_zero(dataset, model_cfg, train_cfg, fold, out_dir, resume):
 EIGHT_FOLDS = ["--jobs", "2", "--set", "folds=8"]
 
 
+def error_line_after_eight_fold_warnings(capsys) -> str:
+    """The one error line of an EIGHT_FOLDS run. Each of its folds validates
+    on one subject, so one label, and train names each in a warning first."""
+    *warnings, error = capsys.readouterr().err.splitlines()
+    assert [w.split(" validates on ")[0] for w in warnings] == \
+        [f"warning: fold {fold}" for fold in range(8)]
+    assert error.startswith("error:"), error
+    return error
+
+
 def test_dead_fold_process_exits_four_naming_the_fold(config_file, data_dir, tmp_path,
                                                       monkeypatch, capsys):
     from sdscreen import cli
@@ -851,7 +893,7 @@ def test_dead_fold_process_exits_four_naming_the_fold(config_file, data_dir, tmp
     out = tmp_path / "run"
     assert main(["train", "--data", data_dir, "--out", str(out), "--config", config_file,
                  *EIGHT_FOLDS]) == 4
-    line = one_error_line(capsys)
+    line = error_line_after_eight_fold_warnings(capsys)
     assert "fold 0" in line and "--resume" in line
     assert not (out / "fold7.ckpt").exists()
 
@@ -864,7 +906,7 @@ def test_first_fold_error_cancels_the_waiting_folds(config_file, data_dir, tmp_p
     out = tmp_path / "run"
     assert main(["train", "--data", data_dir, "--out", str(out), "--config", config_file,
                  *EIGHT_FOLDS]) == 3
-    assert "fold 0 diverged" in one_error_line(capsys)
+    assert "fold 0 diverged" in error_line_after_eight_fold_warnings(capsys)
     assert not (out / "fold7.ckpt").exists()
 
 

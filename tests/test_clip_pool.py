@@ -1,7 +1,7 @@
 """The pooled clip encode: a recomputed plan encodes a subject's clips on a
 thread pool and records them on the calling thread's tape, in clip order;
-in backward one worker rebuilds the next clip's local tape while the calling
-thread replays the current one.
+in backward two lanes, the calling thread and one worker, each rebuild and
+replay every other clip, in lockstep.
 
 ``RECOMPUTE_BYTES = 0`` sends the 12x12 desk plan down the pooled path, and
 more usable cores than the box has make the pool hold several workers.
@@ -19,7 +19,7 @@ from sdscreen.cli import main
 from sdscreen.clipper import segment
 from sdscreen.errors import NumericError
 from sdscreen.fusion import bce_loss
-from sdscreen.numerics import Tape, Tensor, add, dot, mean_over_set, mul, tensor
+from sdscreen.numerics import Tape, Tensor, add, dot, mean_over_set, mul, recomputed, tensor
 from sdscreen.synth import SynthConfig, generate
 
 CFG = model.ModelConfig(input_hw=12, clip_len=4, base_channels=2, feature_dim=4,
@@ -86,8 +86,8 @@ def test_pooled_batch_features_and_gradients_equal_the_serial_path(data, monkeyp
 
 
 def test_prefetched_replay_equals_the_serial_replay(data, monkeypatch):
-    """The prefetching replay gives the plain tape's loss and gradients on one
-    usable core as on three: the prefetch worker runs whatever the count."""
+    """The lanes' replay gives the plain tape's loss and gradients on one
+    usable core as on three: the worker lane runs whatever the count."""
     plain = taped_batch(data, monkeypatch)
     monkeypatch.setattr(encoder3d, "RECOMPUTE_BYTES", 0)
     baseline = threading.active_count()
@@ -100,8 +100,8 @@ def test_prefetched_replay_equals_the_serial_replay(data, monkeypatch):
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == baseline
-        # Each subject's first replayed clip is rebuilt on the calling thread,
-        # the others on the prefetch worker.
+        # The calling lane rebuilds every other clip of a subject from the
+        # first replayed, the worker lane the others.
         assert threading.get_ident() in prefetched[4] and len(prefetched[4]) > 1
         assert prefetched[1] == plain[1]
         assert prefetched[2] == plain[2]
@@ -160,9 +160,9 @@ def test_an_error_in_one_pooled_clip_exits_three(data, monkeypatch, tmp_path, ca
 
 
 def failing_in_a_prefetched_rebuild(monkeypatch):
-    """Make the first clip rebuilt by the prefetch worker raise: a rebuild
-    runs under a local tape, and off the calling thread only the prefetch
-    worker rebuilds."""
+    """Make the first clip rebuilt by the worker lane raise: a rebuild runs
+    under a local tape, and off the calling thread only the worker lane
+    rebuilds."""
     encode = encoder3d._encode_frames
     caller = threading.get_ident()
 
@@ -198,7 +198,11 @@ def test_an_error_in_a_prefetched_rebuild_exits_three(data, monkeypatch, tmp_pat
                                       ("blocks", 2), ("epochs", 1), ("folds", 2))]
     argv = ["train", "--data", str(data.root), "--out", str(tmp_path / "run"), "--fold", "0"]
     assert main(argv + [a for flag in flags for a in ("--set", flag)]) == 3
-    assert capsys.readouterr().err == "error: conv3d produced non-finite values\n"
+    # Fold 0 of this set validates on two depressed subjects, which train names first.
+    assert capsys.readouterr().err == (
+        "warning: fold 0 validates on subjects of label 1 only, so its specificity and auc "
+        "will be nan\n"
+        "error: conv3d produced non-finite values\n")
     assert threading.active_count() == baseline
 
 
@@ -220,7 +224,7 @@ def test_an_error_in_a_replay_during_a_prefetched_rebuild_reaches_the_caller(dat
         out = encode(clip, enc)
         if tensor._active_tape() is None:  # the untaped forward
             return out
-        if threading.get_ident() != caller:  # the prefetched rebuild
+        if threading.get_ident() != caller:  # the worker lane's rebuild
             rebuilding.set()
             assert raised.wait(timeout=10)
             time.sleep(0.2)  # still rebuilding as the error leaves the replay
@@ -280,4 +284,94 @@ def test_a_clip_without_gradient_is_neither_rebuilt_nor_left_on_a_worker(monkeyp
     assert step() == plain
     assert [i for i, _ in rebuilt] == [2, 0]
     assert rebuilt[0][1] == threading.get_ident() != rebuilt[1][1]
+    assert threading.active_count() == baseline
+
+
+def backward_on_a_helper(tape, loss):
+    """What ``tape.backward(loss)`` raised, run on a helper thread whose join
+    times out, so a lane that hangs fails the test instead of the run."""
+    raised = []
+
+    def run():
+        try:
+            tape.backward(loss)
+        except BaseException as error:  # handed to the test
+            raised.append(error)
+
+    helper = threading.Thread(target=run, daemon=True)
+    helper.start()
+    helper.join(timeout=30)
+    assert not helper.is_alive(), "backward hung"
+    return raised
+
+
+def four_item_tape(fn):
+    """A tape over four recomputed items ``(k, values)`` of ``fn`` sharing one
+    weight, and its loss. Backward replays them in the order 3, 2, 1, 0: the
+    calling lane takes items 3 and 1, the worker lane items 2 and 0."""
+    w = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    with Tape() as tape:
+        outs = recomputed(fn, [(k, np.full(2, k + 1.0)) for k in range(4)], w)
+        loss = dot(add(add(outs[0], outs[1]), add(outs[2], outs[3])), Tensor(np.ones(2)))
+    return tape, loss
+
+
+def test_a_failing_rebuild_on_the_worker_lane_releases_the_calling_lane():
+    """Item 2's rebuild raises after item 3 has replayed, while the calling
+    lane waits for it before rebuilding item 1: the error reaches the caller,
+    neither lane takes another item, and the worker stops."""
+    rebuilt = []
+
+    def fn(item, w):
+        k, values = item
+        if tensor._active_tape() is not None:  # a rebuild
+            rebuilt.append(k)
+            if k == 2:
+                deadline = time.monotonic() + 10
+                while w.grad is None:  # item 3's replay adds the first gradient
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+                time.sleep(0.1)  # the calling lane now waits on this rebuild
+                raise NumericError("rebuild produced non-finite values")
+        return mul(Tensor(values), w)
+
+    baseline = threading.active_count()
+    tape, loss = four_item_tape(fn)
+    [error] = backward_on_a_helper(tape, loss)
+    assert isinstance(error, NumericError) and "rebuild produced" in str(error)
+    assert rebuilt == [3, 2]
+    assert threading.active_count() == baseline
+
+
+def test_a_failing_replay_step_releases_the_lane_waiting_on_that_step():
+    """Item 2's replay on the worker lane raises at its first step once the
+    calling lane has rebuilt item 1, whose first step waits on that step: the
+    error reaches the caller, item 0 is never rebuilt, and the worker stops."""
+    rebuilt, item_1_rebuilt = [], threading.Event()
+
+    def fail(g):
+        assert item_1_rebuilt.wait(timeout=10)
+        time.sleep(0.1)  # the calling lane now waits on this step
+        raise NumericError("replay produced non-finite values")
+
+    def fn(item, w):
+        k, values = item
+        out = mul(Tensor(values), w)
+        local = tensor._active_tape()
+        if local is None:  # the untaped forward
+            return out
+        rebuilt.append(k)
+        if k == 1:
+            item_1_rebuilt.set()
+        if k != 2:
+            return out
+        failing = Tensor(out.data, requires_grad=True)
+        local.record(failing, fail)
+        return failing
+
+    baseline = threading.active_count()
+    tape, loss = four_item_tape(fn)
+    [error] = backward_on_a_helper(tape, loss)
+    assert isinstance(error, NumericError) and "replay produced" in str(error)
+    assert rebuilt == [3, 2, 1]
     assert threading.active_count() == baseline

@@ -120,6 +120,36 @@ def test_tape_holds_one_entry_per_clip_and_replays_one_clip_at_a_time(monkeypatc
     assert len(per_clip) == 1 and per_clip.pop() > 1
 
 
+def test_each_encoder_parameter_takes_its_gradient_at_one_tape_position(monkeypatch):
+    """The contract the replay lanes of ``recomputed`` rely on for their bits:
+    replaying one reference-plan clip, every parameter of ``encode_clip``
+    receives all of its contributions while one position of the local tape
+    replays, so two clips replayed a position apart never add into one
+    parameter at once, and each adds in the plain tape's order."""
+    params = init_encoder(build_plan(110), np.random.default_rng(3))
+    clip = np.random.default_rng(4).integers(0, 256, (110, 110, 10), np.uint8)
+    with Tape() as local:
+        out = encoder3d._encode_frames(clip, params)
+    position, positions = [None], {}
+    accumulate = Tensor.accumulate_grad
+
+    def logged(t, contribution, at=None):
+        positions.setdefault(id(t), []).append(position[0])
+        accumulate(t, contribution, at)
+
+    monkeypatch.setattr(Tensor, "accumulate_grad", logged)
+    local.gate = lambda p: position.__setitem__(0, p)
+    out.grad = np.ones(out.shape)
+    local.backward(out)
+    named = params.named_parameters()
+    assert len(named) == 2 * len(params.plan.stage_channels) + 4
+    for name, t in named:
+        assert len(set(positions[id(t)])) == 1, name
+    # A conv's kernel and bias share its op's position; the linear layer's
+    # weight and bias are inputs of a matmul and an add.
+    assert len({positions[id(t)][0] for _, t in named}) == len(named) // 2 + 1
+
+
 def test_recomputed_holds_its_arguments_and_gives_plain_gradients():
     x = Tensor(np.array([1.5, -2.0, 0.25]), requires_grad=True)
     calls = []
